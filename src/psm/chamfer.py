@@ -8,141 +8,96 @@ metric: the triangle inequality can fail. Nearest-neighbor ties break to the
 lowest index in the other set, which makes gradients deterministic.
 
 Two backends compute the same nearest neighbors: a chunked brute-force scan
-and a KD-tree. Both evaluate per-pair squared distances through the same
-primitive (cdist), so their values agree bit for bit, not merely to
-tolerance. Per-point searches are independent; the value is reduced by
-pairwise summation in index order, so results do not depend on how the work
-is split.
+over scipy's cdist, and scipy's cKDTree with every near tie rescored
+exactly. Both report squared distances summed in cdist's order, so their
+values agree bit for bit, not merely to tolerance. Per-point searches are
+independent; the value is reduced by pairwise summation in index order, so
+results do not depend on how the work is split. Inputs whose squared
+distances could overflow float64 are rejected.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .core import DistanceResult, validate
-from .errors import EmptySet
+from .errors import DistanceOverflow, EmptySet
 
-_NO_INDEX = np.iinfo(np.int64).max
+# cKDTree sums the same squares in its own order, a few ulps off the exact
+# distance; candidates this close (relative) to the best are rescored exactly
+_TIE_RTOL = 1e-12
+# a sum of three squares up to this stays finite in any order
+_MAX_SPAN2 = np.finfo(np.float64).max / 4
+_SAFE_COORD = np.sqrt(_MAX_SPAN2 / 12)
+
+
+def _sqdist(q, p):
+    """Squared distances between paired rows, summed (dx^2 + dy^2) + dz^2:
+    cdist's sqeuclidean order, so they equal the brute backend's bit for bit."""
+    d = q - p
+    d *= d
+    return d[:, 0] + d[:, 1] + d[:, 2]
+
+
+def _check_span(a, b):
+    """Raise DistanceOverflow if a squared distance between a and b could overflow."""
+    if max(np.abs(a).max(), np.abs(b).max()) <= _SAFE_COORD:
+        return  # |dx| <= 2 _SAFE_COORD on each axis; skips the slower per-axis extent
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    hi = np.maximum(a.max(axis=0), b.max(axis=0))
+    with np.errstate(over="ignore"):
+        span2 = float(np.sum((hi - lo) ** 2))
+    if not span2 <= _MAX_SPAN2:
+        raise DistanceOverflow(f"squared extent {span2:g} of the points overflows float64")
 
 
 class KdTree:
-    """Static 3-d tree over a point set, exact nearest-neighbor queries.
+    """Exact nearest-neighbor index: scipy's cKDTree plus an exact tie repair.
 
-    Median split on the widest-extent axis, leaf size 16 by default; robust
-    on degenerate (planar, collinear, duplicated) clouds. Nodes live in flat
-    arrays; leaves hold contiguous ranges of a permuted copy of the points.
+    The tree holds each distinct point once, labelled with its lowest index.
+    Where cKDTree's two nearest differ by more than rounding, the first is
+    the nearest; otherwise every point in a ball just wider than the best
+    distance is rescored exactly, and the lowest index wins ties.
+    leaf_size is cKDTree's leafsize.
     """
 
     def __init__(self, points, leaf_size=16):
         pts = validate(points)
         if len(pts) == 0:
             raise EmptySet()
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-        self.leaf_size = int(leaf_size)
-        n = len(pts)
-        perm = np.arange(n)
-        axis, split, left, right, start, end = [], [], [], [], [], []
-
-        def build(lo, hi):
-            node = len(axis)
-            axis.append(-1)
-            split.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            start.append(lo)
-            end.append(hi)
-            if hi - lo <= self.leaf_size:
-                return node
-            sub = pts[perm[lo:hi]]
-            ext = sub.max(axis=0) - sub.min(axis=0)
-            ax = int(np.argmax(ext))
-            k = (hi - lo) // 2
-            sel = np.argpartition(sub[:, ax], k)
-            perm[lo:hi] = perm[lo:hi][sel]
-            axis[node] = ax
-            split[node] = pts[perm[lo + k], ax]
-            left[node] = build(lo, lo + k)
-            right[node] = build(lo + k, hi)
-            return node
-
-        build(0, n)
-        self.n = n
-        self.perm = perm
-        self.pts_sorted = pts[perm]
-        self.axis = np.asarray(axis, dtype=np.int64)
-        self.split = np.asarray(split)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.start = np.asarray(start, dtype=np.int64)
-        self.end = np.asarray(end, dtype=np.int64)
-
-    def _scan_leaves(self, q, rows, nodes, best_d2, best_i):
-        # group query rows by leaf so each distinct leaf costs one cdist call
-        order = np.argsort(nodes, kind="stable")
-        srows = rows[order]
-        snodes = nodes[order]
-        uniq, first = np.unique(snodes, return_index=True)
-        bounds = np.append(first, len(snodes))
-        for k in range(len(uniq)):
-            lo, hi = self.start[uniq[k]], self.end[uniq[k]]
-            rg = srows[bounds[k]:bounds[k + 1]]
-            d2 = cdist(q[rg], self.pts_sorted[lo:hi], "sqeuclidean")
-            orig = self.perm[lo:hi]
-            rd2 = d2.min(axis=1)
-            # among equidistant leaf points, keep the lowest original index
-            cand = np.where(d2 == rd2[:, None], orig[None, :], _NO_INDEX).min(axis=1)
-            better = (rd2 < best_d2[rg]) | ((rd2 == best_d2[rg]) & (cand < best_i[rg]))
-            upd = rg[better]
-            best_d2[upd] = rd2[better]
-            best_i[upd] = cand[better]
-
-    def _descend(self, q, rows, nodes, best_d2, best_i, pend):
-        # walk each row to its near-side leaf, deferring the far subtrees
-        ax = self.axis[nodes]
-        while True:
-            at_leaf = ax < 0
-            if at_leaf.any():
-                self._scan_leaves(q, rows[at_leaf], nodes[at_leaf], best_d2, best_i)
-                inner = ~at_leaf
-                if not inner.any():
-                    return
-                rows = rows[inner]
-                nodes = nodes[inner]
-                ax = ax[inner]
-            qa = q[rows, ax]
-            sv = self.split[nodes]
-            go_left = qa <= sv
-            lch = self.left[nodes]
-            rch = self.right[nodes]
-            pend.append((np.where(go_left, rch, lch), rows, (qa - sv) ** 2))
-            nodes = np.where(go_left, lch, rch)
-            ax = self.axis[nodes]
+        self.points = pts
+        # lexsort is stable: the first of each run of equal rows has the lowest index
+        order = np.lexsort(pts.T[::-1])
+        run = pts[order]
+        first = np.r_[True, (run[1:] != run[:-1]).any(axis=1)]
+        self.labels = order[first]
+        self.tree = cKDTree(run[first], leafsize=leaf_size)
 
     def query(self, points):
-        """Exact nearest neighbors: (indices, squared distances).
-
-        Deferred far subtrees are revisited in rounds; a subtree is pruned
-        only when its splitting-plane gap strictly exceeds the current best,
-        so equidistant candidates are still scanned and the lowest-index tie
-        rule holds exactly.
-        """
+        """Exact nearest neighbors: (indices, squared distances)."""
         q = validate(points)
-        m = len(q)
-        best_d2 = np.full(m, np.inf)
-        best_i = np.full(m, _NO_INDEX)
-        if m == 0:
-            return best_i, best_d2
-        pend = []
-        self._descend(q, np.arange(m), np.zeros(m, dtype=np.int64), best_d2, best_i, pend)
-        while pend:
-            fnode = np.concatenate([p[0] for p in pend])
-            frow = np.concatenate([p[1] for p in pend])
-            fgap = np.concatenate([p[2] for p in pend])
-            pend = []
-            keep = fgap <= best_d2[frow]
-            if keep.any():
-                self._descend(q, frow[keep], fnode[keep], best_d2, best_i, pend)
-        return best_i, best_d2
+        if len(q) == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        _check_span(q, self.points)
+        d, j = self.tree.query(q, k=2)
+        idx = self.labels[j[:, 0]]
+        # with one distinct point the second distance is inf: never a tie
+        tied = np.flatnonzero(d[:, 1] <= d[:, 0] * (1 + _TIE_RTOL))
+        if len(tied):
+            idx[tied] = self._repair(q[tied], d[tied, 0] * (1 + _TIE_RTOL))
+        return idx, _sqdist(q, self.points[idx])
+
+    def _repair(self, q, reach):
+        """Exact lowest-index nearest neighbors among the points within reach:
+        the point cKDTree found and every point that could tie or beat it."""
+        balls = self.tree.query_ball_point(q, reach)
+        counts = np.array([len(b) for b in balls])
+        labels = self.labels[np.concatenate(balls)]
+        starts = np.cumsum(counts) - counts
+        rows = np.repeat(np.arange(len(q)), counts)
+        d2 = _sqdist(q[rows], self.points[labels])
+        d2min = np.minimum.reduceat(d2, starts)
+        return np.minimum.reduceat(np.where(d2 == d2min[rows], labels, len(self.points)), starts)
 
     def nearest_neighbor(self, point):
         """Single-point convenience wrapper: (index, squared distance)."""
@@ -167,13 +122,11 @@ def _nn_brute(q, pts, chunk=512):
     return idx, d2min
 
 
-def _nn(q, pts, backend, tree=None):
+def _nn(q, pts, backend):
     if backend == "brute":
         return _nn_brute(q, pts)
     if backend == "kdtree":
-        if tree is None:
-            tree = KdTree(pts)
-        return tree.query(q)
+        return KdTree(pts).query(q)
     raise ValueError(f"unknown backend {backend!r}; expected 'brute' or 'kdtree'")
 
 
@@ -192,6 +145,7 @@ def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
     b = validate(b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySet()
+    _check_span(a, b)
     nn_ab, d2_ab = _nn(a, b, backend)
     nn_ba, d2_ba = _nn(b, a, backend)
     wa = 1.0 / len(a) if normalize else 1.0

@@ -14,6 +14,10 @@ class NonFiniteCoordinate(ValueError):
         super().__init__(f"non-finite coordinate at point index {index}")
 
 
+class DistanceOverflow(ValueError):
+    """Squared distances between the points could overflow float64."""
+
+
 class EmptySet(ValueError):
     def __init__(self, what="point set"):
         super().__init__(f"empty {what} not allowed here")

@@ -6,6 +6,7 @@ files stay human-readable. All parsers report 1-based line numbers.
 """
 
 import json
+from io import StringIO
 
 import numpy as np
 
@@ -41,8 +42,24 @@ def _parse_floats(tokens, lineno):
 def read_xyz(path):
     """Read a point set: one `x y z` line per point.
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped. Plain numeric rows
+    are parsed in one numpy call; the line parser takes every other file.
     """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if text.strip():  # loadtxt warns on a file without rows
+            # with comments=None any '#' fails here and goes to the line parser
+            pts = np.loadtxt(StringIO(text), dtype=np.float64, comments=None, ndmin=2)
+            if pts.shape[1] == 3 and np.isfinite(pts).all():
+                return pts
+    except ValueError:  # a bad number, a ragged row or undecodable bytes
+        pass
+    return _read_xyz_lines(path)
+
+
+def _read_xyz_lines(path):
+    """Line-by-line reference parser behind read_xyz."""
     points = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -73,7 +90,7 @@ def read_grid(path):
     [0, 1], z fastest and x slowest.
     """
     with open(path) as fh:
-        lines = fh.read().split("\n")
+        lines = fh.read().split("\n", 4)  # four header lines, then the values
     if not lines or lines[0] != GRID_HEADER:
         raise ParseError(1, f"expected header {GRID_HEADER!r}")
     if len(lines) < 4:
@@ -99,17 +116,35 @@ def read_grid(path):
     h = _parse_floats(size_tokens, 4)[0]
     if not h > 0:
         raise ParseError(4, "cell size must be > 0")
+    values = _grid_values(lines[4] if len(lines) > 4 else "")
+    expected = dx ** 3
+    if len(values) != expected:
+        raise DimensionMismatch(f"expected {expected} values, got {len(values)}")
+    grid = values.reshape(dx, dx, dx)
+    return OccupancyGrid(dx, origin, h, grid)
+
+
+def _grid_values(body):
+    """Grid values in one numpy call, each token through float(); a bad token
+    or a value outside [0, 1] goes to the line parser to report its line."""
+    try:
+        values = np.array(body.split(), dtype=np.float64)
+        if ((values >= 0.0) & (values <= 1.0)).all():
+            return values
+    except ValueError:
+        pass
+    return _grid_values_lines(body)
+
+
+def _grid_values_lines(body):
+    """Line-by-line reference parser behind _grid_values."""
     values = []
-    for lineno, line in enumerate(lines[4:], start=5):
+    for lineno, line in enumerate(body.split("\n"), start=5):
         for v in _parse_floats(line.split(), lineno):
             if not 0.0 <= v <= 1.0:
                 raise ParseError(lineno, f"value {v!r} outside [0, 1]")
             values.append(v)
-    expected = dx ** 3
-    if len(values) != expected:
-        raise DimensionMismatch(f"expected {expected} values, got {len(values)}")
-    grid = np.array(values).reshape(dx, dx, dx)
-    return OccupancyGrid(dx, origin, h, grid)
+    return np.array(values)
 
 
 def write_grid(g, path):

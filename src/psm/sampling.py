@@ -38,12 +38,18 @@ def farthest_point_sample(ps, k, seed=0, start_index=None):
         start = int(start_index)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
-    min_d2 = ((pts - pts[start]) ** 2).sum(axis=1)
+    # contiguous columns; dx*dx + dy*dy + dz*dz adds in the order of a row sum
+    # of squares, so distances equal ((pts - p) ** 2).sum(axis=1) bit for bit
+    x, y, z = np.ascontiguousarray(pts.T)
+    min_d2 = np.full(n, np.inf)
+    d2, sq = np.empty(n), np.empty(n)
     for i in range(1, k):
-        nxt = int(np.argmax(min_d2))  # argmax takes the first, so lowest index wins ties
-        chosen[i] = nxt
-        d2 = ((pts - pts[nxt]) ** 2).sum(axis=1)
+        p = chosen[i - 1]
+        np.square(x - x[p], out=d2)
+        d2 += np.square(y - y[p], out=sq)
+        d2 += np.square(z - z[p], out=sq)
         np.minimum(min_d2, d2, out=min_d2)
+        chosen[i] = np.argmax(min_d2)  # argmax takes the first, so lowest index wins ties
     return pts[chosen]
 
 

@@ -5,11 +5,13 @@ nearest neighbors come from explicit loops over the definition, and the
 gradient is assembled term by term. Everything else is checked against it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from psm.chamfer import KdTree, build_kdtree, chamfer_distance
-from psm.errors import EmptySet, NonFiniteCoordinate
+from psm.errors import DistanceOverflow, EmptySet, NonFiniteCoordinate
 
 
 def nn_loop(p, pts):
@@ -274,6 +276,22 @@ def test_backends_agree_bitwise():
         assert np.array_equal(vb.grad_b, vk.grad_b)
 
 
+def test_kdtree_many_exact_ties():
+    # the 24 points (±2, ±1, 0) and permutations are all at squared distance
+    # 5 from the origin; the lowest index among them must win
+    shell = {p for s in itertools.product((2, -2), (1, -1), (0,))
+             for p in itertools.permutations(s)}
+    rng = np.random.default_rng(23)
+    pts = np.array(sorted(shell), dtype=np.float64)[rng.permutation(len(shell))]
+    pts = np.vstack([pts, 3.0 * pts])
+    queries = np.array([(0.0, 0, 0), (0, 0, 0.25), (0.5, 0.5, 0.5)])
+    idx, d2 = build_kdtree(pts).query(queries)
+    for qi in range(len(queries)):
+        want_j, want_d = nn_loop(queries[qi], pts)
+        assert idx[qi] == want_j
+        assert d2[qi] == want_d
+
+
 # ----------------------------------------------------------------- errors
 
 def test_empty_inputs_rejected():
@@ -290,6 +308,23 @@ def test_nonfinite_inputs_rejected():
         chamfer_distance([(0, 0, np.nan)], [(0, 0, 0)])
     with pytest.raises(NonFiniteCoordinate):
         chamfer_distance([(0, 0, 0)], [(np.inf, 0, 0)])
+
+
+@pytest.mark.parametrize("backend", ["brute", "kdtree"])
+def test_overflowing_distances_rejected(backend):
+    # squared distances of 4e400 overflow float64; both backends refuse
+    # before searching rather than return inf
+    with pytest.raises(DistanceOverflow):
+        chamfer_distance([(1e200, 0, 0)], [(-1e200, 0, 0)], backend=backend)
+    with pytest.raises(DistanceOverflow):
+        chamfer_distance([(0, 0, 0), (0, 1e200, 0)], [(0, 0, 0)], backend=backend)
+    with pytest.raises(DistanceOverflow):
+        build_kdtree([(1e200, 0, 0)]).query([(-1e200, 0, 0)])
+    # large magnitudes are fine while the points stay close
+    far = np.array([(1e200, 0, 0), (1e200, 1e150, 0)])
+    assert chamfer_distance(far, far[::-1], backend=backend).value == 0.0
+    assert chamfer_distance([(1e150, 0, 0)], [(-1e150, 0, 0)], backend=backend).value \
+        == 2 * (2e150) ** 2
 
 
 def test_unknown_backend_rejected():

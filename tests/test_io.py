@@ -1,11 +1,17 @@
 """Text formats: .xyz files, PSGRID grids, JSON distribution specs."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psm import io as psio
 from psm.errors import (DimensionMismatch, InvalidParameter, ParseError,
                         UnknownFamily)
+from psm.meanshape import FAMILY_DEFAULTS
 from psm.voxel import OccupancyGrid
 
 
@@ -74,6 +80,84 @@ def test_xyz_round_trip_exact(tmp_path):
     psio.write_xyz(pts, p)
     back = psio.read_xyz(p)
     assert np.array_equal(back, pts)
+
+
+def outcome(fn, *args):
+    """What a parser returns, as comparable bytes, or the error it raises."""
+    try:
+        out = fn(*args)
+    except ValueError as e:  # ParseError, DimensionMismatch, UnicodeDecodeError
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    return out.shape, out.tobytes()
+
+
+XYZ_PARITY = {
+    "tabs": b"0\t1\t2\n3\t4\t5\n",
+    "crlf": b"0 1 2\r\n3 4 5\r\n",
+    "lone_cr": b"0 1 2\r3 4 5\r",
+    "trailing_blank_lines": b"0 1 2\n\n\n",
+    "whitespace_only_line": b"0 1 2\n  \t \n3 4 5",
+    "form_feed": b"0 1 2\x0c\n\x0c\n",
+    "comment_at_start": b"# header\n0 1 2\n",
+    "comment_indented": b"  # note\n0 1 2\n",
+    "comment_mid_line": b"0 1 2 # note\n",
+    "comment_glued": b"0 1 #2\n",
+    "underscore": b"1_0 2 3\n",
+    "plus_dot": b"+.5 -.25 3\n",
+    "negative_zero": b"-0 0 -0.0\n",
+    "nan": b"0 1 2\nnan 0 0\n",
+    "inf": b"0 1 2\n0 inf 0\n",
+    "overflowing_literal": b"1e500 0 0\n",
+    "two_tokens": b"0 1 2\n3 4\n",
+    "four_tokens": b"0 1 2 3\n",
+    "one_token_lines": b"1\n2\n3\n",
+    "bad_token": b"0 1 x\n",
+    "unicode_digit": "\u0661 2 3\n".encode(),
+    "line_separator": "0 1 2\u20283 4 5\n".encode(),
+    "undecodable": b"0 1 2\n\xff 1 2\n",
+    "empty": b"",
+    "blank_only": b"\n \n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(XYZ_PARITY))
+def test_read_xyz_matches_line_parser(tmp_path, name):
+    p = tmp_path / "a.xyz"
+    p.write_bytes(XYZ_PARITY[name])
+    assert outcome(psio.read_xyz, p) == outcome(psio._read_xyz_lines, p)
+
+
+TOKENS = ["0", "1", "-2.5e-3", "+.5", "7_0", "nan", "-inf", "x", "#", "#c", "1e400"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=4), max_size=6),
+       st.sampled_from([" ", "\t", "  "]), st.sampled_from(["\n", "\r\n"]))
+def test_read_xyz_matches_line_parser_on_token_soup(tmp_path_factory, lines, sep, newline):
+    path = tmp_path_factory.getbasetemp() / "soup.xyz"
+    path.write_bytes(newline.join(sep.join(tokens) for tokens in lines).encode())
+    assert outcome(psio.read_xyz, path) == outcome(psio._read_xyz_lines, path)
+
+
+GRID_BODY_PARITY = {
+    "valid": "0 1\n0.25\t0.75\n",
+    "above_one": "0 0 0 0\n0 1.5 0 0\n",
+    "below_zero": "0\n-0.1\n",
+    "negative_zero": "-0 0\n",
+    "nan": "0 nan\n",
+    "inf": "0\ninf\n",
+    "underscore": "0 1_0\n",
+    "plus_dot": "+.5 .25\n",
+    "bad_token": "0 0\n0 x\n",
+    "blank_lines": "\n0 1\n\n   \n1\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_BODY_PARITY))
+def test_grid_values_match_line_parser(name):
+    body = GRID_BODY_PARITY[name]
+    assert outcome(psio._grid_values, body) == outcome(psio._grid_values_lines, body)
 
 
 def grid_text(dims, origin, h, values):
@@ -217,3 +301,12 @@ def test_distribution_spec_bad_json_line(tmp_path):
     p.write_text('[1, 2]')
     with pytest.raises(ParseError):
         psio.read_distribution_spec(p)
+
+
+def test_formats_doc_lists_family_parameters():
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    section = doc.split("Families and their parameters")[1].split("\n\n")[1]
+    listed = {}
+    for item in re.findall(r"^- `(\w+)`: (.*?)\.\s", section, flags=re.M | re.S):
+        listed[item[0]] = set(re.findall(r"`(\w+)`", item[1]))
+    assert listed == {family: set(params) for family, params in FAMILY_DEFAULTS.items()}

@@ -1,0 +1,101 @@
+"""Property tests on adversarial clouds: Chamfer backends and FPS.
+
+Clouds come in the shapes that break nearest-neighbor searches and greedy
+samplers: duplicated points, 1/64 and integer lattices (exact ties between
+and within sets), collinear and coplanar sets, a 1e8 offset, magnitudes
+near both ends of float64's range, one or two points, and all points equal.
+Examples are derandomized and kept out of any database, so every run checks
+the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psm.chamfer import KdTree, chamfer_distance
+from psm.sampling import farthest_point_sample
+
+KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
+         "coplanar", "offset", "huge", "tiny", "identical")
+
+CHECKED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def make_cloud(kind, n, rng):
+    if kind == "generic":
+        return rng.normal(size=(n, 3))
+    if kind == "duplicates":
+        base = rng.normal(size=(max(1, n // 3), 3))
+        return base[rng.integers(0, len(base), n)]
+    if kind == "lattice64":
+        return rng.integers(0, 6, size=(n, 3)) / 64.0
+    if kind == "integer":
+        return rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+    if kind == "collinear":
+        t = rng.integers(-4, 5, size=n) * 0.25
+        return rng.normal(size=3) + t[:, None] * rng.normal(size=3)
+    if kind == "coplanar":
+        return np.column_stack([rng.integers(0, 5, size=(n, 2)) / 8.0, np.full(n, 0.3)])
+    if kind == "offset":
+        return 1e8 + rng.integers(0, 5, size=(n, 3)) * 0.5
+    if kind == "huge":  # squared distances near 1e306, still finite
+        return 1e160 + rng.integers(-3, 4, size=(n, 3)) * 1e152
+    if kind == "tiny":  # squared distances subnormal or zero
+        return rng.integers(-3, 4, size=(n, 3)) * 1e-161
+    return np.tile(rng.normal(size=3), (n, 1))  # identical
+
+
+sizes = st.one_of(st.sampled_from([1, 2]), st.integers(1, 48))
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two clouds of one kind from one stream, so lattices are shared."""
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make_cloud(kind, draw(sizes), rng), make_cloud(kind, draw(sizes), rng)
+
+
+def lowest_index_nn(q, pts):
+    """Nearest neighbor by a plain loop over every point, first index on ties."""
+    out = []
+    for p in q:
+        d2 = [(p[0] - r[0]) ** 2 + (p[1] - r[1]) ** 2 + (p[2] - r[2]) ** 2 for r in pts]
+        out.append(d2.index(min(d2)))
+    return np.array(out)
+
+
+@CHECKED
+@given(cloud_pairs())
+def test_backends_bitwise_equal_with_lowest_index_nn(pair):
+    a, b = pair
+    vb = chamfer_distance(a, b, backend="brute", want_grad=True)
+    vk = chamfer_distance(a, b, backend="kdtree", want_grad=True)
+    assert np.isfinite(vb.value)
+    assert vb.value == vk.value
+    assert vb.grad_a.tobytes() == vk.grad_a.tobytes()
+    assert vb.grad_b.tobytes() == vk.grad_b.tobytes()
+    for q, pts in ((a, b), (b, a)):
+        idx, _ = KdTree(pts).query(q)
+        assert np.array_equal(idx, lowest_index_nn(q, pts))
+
+
+def fps_rowsum(pts, k, start):
+    """The greedy rule with distances taken as row sums of squares."""
+    chosen = [start]
+    min_d2 = ((pts - pts[start]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        nxt = int(np.argmax(min_d2))
+        chosen.append(nxt)
+        np.minimum(min_d2, ((pts - pts[nxt]) ** 2).sum(axis=1), out=min_d2)
+    return pts[chosen]
+
+
+@CHECKED
+@given(st.sampled_from(KINDS), sizes, st.integers(0, 2**32 - 1), st.data())
+def test_fps_equals_rowsum_greedy(kind, n, seed, data):
+    pts = make_cloud(kind, n, np.random.default_rng(seed))
+    k = data.draw(st.integers(1, n))
+    start = data.draw(st.integers(0, n - 1))
+    got = farthest_point_sample(pts, k, start_index=start)
+    assert got.tobytes() == fps_rowsum(pts, k, start).tobytes()
