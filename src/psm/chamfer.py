@@ -20,15 +20,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import DistanceResult, validate
-from .errors import DistanceOverflow, EmptySet
+from .core import DistanceResult, check_span, validate
+from .errors import EmptySet
 
 # cKDTree sums the same squares in its own order, a few ulps off the exact
 # distance; candidates this close (relative) to the best are rescored exactly
 _TIE_RTOL = 1e-12
-# a sum of three squares up to this stays finite in any order
-_MAX_SPAN2 = np.finfo(np.float64).max / 4
-_SAFE_COORD = np.sqrt(_MAX_SPAN2 / 12)
 
 
 def _sqdist(q, p):
@@ -37,18 +34,6 @@ def _sqdist(q, p):
     d = q - p
     d *= d
     return d[:, 0] + d[:, 1] + d[:, 2]
-
-
-def _check_span(a, b):
-    """Raise DistanceOverflow if a squared distance between a and b could overflow."""
-    if max(np.abs(a).max(), np.abs(b).max()) <= _SAFE_COORD:
-        return  # |dx| <= 2 _SAFE_COORD on each axis; skips the slower per-axis extent
-    lo = np.minimum(a.min(axis=0), b.min(axis=0))
-    hi = np.maximum(a.max(axis=0), b.max(axis=0))
-    with np.errstate(over="ignore"):
-        span2 = float(np.sum((hi - lo) ** 2))
-    if not span2 <= _MAX_SPAN2:
-        raise DistanceOverflow(f"squared extent {span2:g} of the points overflows float64")
 
 
 class KdTree:
@@ -78,7 +63,7 @@ class KdTree:
         q = validate(points)
         if len(q) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        _check_span(q, self.points)
+        check_span(q, self.points)
         d, j = self.tree.query(q, k=2)
         idx = self.labels[j[:, 0]]
         # with one distinct point the second distance is inf: never a tie
@@ -145,7 +130,7 @@ def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
     b = validate(b)
     if len(a) == 0 or len(b) == 0:
         raise EmptySet()
-    _check_span(a, b)
+    check_span(a, b)
     nn_ab, d2_ab = _nn(a, b, backend)
     nn_ba, d2_ba = _nn(b, a, backend)
     wa = 1.0 / len(a) if normalize else 1.0

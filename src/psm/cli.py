@@ -19,7 +19,8 @@ import numpy as np
 from . import io as psio
 from .chamfer import chamfer_distance
 from .core import RandomSource, resolve_threads
-from .emd import DISPATCH_THRESHOLD, AuctionParams, emd_auction, emd_exact
+from .emd import (EXACT_LIMIT, AuctionParams, default_backend, emd_auction,
+                  emd_exact)
 from .losses import CandidateBundle, mon_loss
 from .meanshape import (SgdConfig, corner_regions, emit_plot,
                         optimize_mean_shape)
@@ -89,8 +90,7 @@ def _cmd_emd(args):
     elif args.auction:
         route = "auction"
     else:
-        # same rule as the library dispatcher
-        route = "exact" if min(len(a), len(b)) <= DISPATCH_THRESHOLD else "auction"
+        route = default_backend(len(a))
     params = None
     achieved = None
     if route == "exact":
@@ -113,13 +113,15 @@ def _cmd_emd(args):
            "normalize": args.normalize, "scale": scale}
     if res.backend == "auction":
         obj["achieved_eps"] = achieved
+        obj["budget_relaxed"] = res.budget_relaxed
         obj["params"] = {"target_rel_err": params.target_rel_err,
                          "scaling_factor": params.scaling_factor,
                          "time_budget_s": params.time_budget_s,
                          "relax_factor": params.relax_factor}
         print(f"auction: achieved_eps={achieved:.6g} "
               f"target_rel_err={params.target_rel_err:g} "
-              f"budget_ms={args.budget_ms:g}", file=sys.stderr)
+              f"budget_ms={args.budget_ms:g} "
+              f"budget_relaxed={res.budget_relaxed}", file=sys.stderr)
     _emit(args, obj, [fmt12(value)])
     return 0
 
@@ -245,7 +247,7 @@ def _bench_one_size(s, trials, seed, budget_ms):
         t_auction = time.perf_counter() - t0
         exact_value = None
         t_exact = None
-        if s <= 512:
+        if s <= EXACT_LIMIT:
             t0 = time.perf_counter()
             res_ex, _ = emd_exact(a, b)
             t_exact = time.perf_counter() - t0
@@ -372,9 +374,11 @@ def build_parser():
     p.add_argument("b")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
-                       help="force the exact solver (s <= 512)")
+                       help=f"force the exact solver (s <= {EXACT_LIMIT}, "
+                            "the default up to there)")
     group.add_argument("--auction", action="store_true",
-                       help="force the approximate auction solver")
+                       help="force the approximate auction solver "
+                            f"(the default above s = {EXACT_LIMIT})")
     p.add_argument("--eps", type=float, default=0.01,
                    help="auction target relative error (default 0.01)")
     p.add_argument("--budget-ms", type=float, default=1000.0,

@@ -15,7 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EmptySet, NonFiniteCoordinate
+from .errors import DistanceOverflow, EmptySet, NonFiniteCoordinate
+
+# a sum of three squares up to this stays finite in any order
+_MAX_SPAN2 = np.finfo(np.float64).max / 4
+_SAFE_COORD = np.sqrt(_MAX_SPAN2 / 12)
 
 
 def as_points(ps):
@@ -35,6 +39,18 @@ def validate(ps):
     if bad.any():
         raise NonFiniteCoordinate(int(np.argmax(bad)))
     return a
+
+
+def check_span(a, b):
+    """Raise DistanceOverflow if a squared distance between a and b could overflow."""
+    if max(np.abs(a).max(), np.abs(b).max()) <= _SAFE_COORD:
+        return  # |dx| <= 2 _SAFE_COORD on each axis; skips the slower per-axis extent
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    hi = np.maximum(a.max(axis=0), b.max(axis=0))
+    with np.errstate(over="ignore"):
+        span2 = float(np.sum((hi - lo) ** 2))
+    if not span2 <= _MAX_SPAN2:
+        raise DistanceOverflow(f"squared extent {span2:g} of the points overflows float64")
 
 
 def bounding_box(ps):
@@ -89,8 +105,10 @@ class DistanceResult:
 
     grad_a, when present, has one row per point of the first argument
     (d value / d a_i); grad_b likewise for the second. backend names the
-    kernel that produced the value. achieved_eps is populated only by the
-    approximate assignment route: the relative optimality bound it certifies.
+    kernel that produced the value. achieved_eps and budget_relaxed are
+    populated only by the approximate assignment route: the relative
+    optimality bound it certifies, and whether the time budget stopped its
+    epsilon schedule early.
     """
 
     value: float
@@ -98,6 +116,7 @@ class DistanceResult:
     grad_b: np.ndarray | None = None
     backend: str = ""
     achieved_eps: float | None = None
+    budget_relaxed: bool | None = None
 
 
 def resolve_threads(threads=None):

@@ -26,6 +26,18 @@ def fmt_float(x):
     return s
 
 
+def _write_rows(fh, values, width):
+    """Write values `width` to a line, each as fmt_float writes it, formatted
+    from Python floats a block of lines at a time."""
+    rows = np.asarray(values, dtype=np.float64).reshape(-1, width)
+    step = max(1, 65536 // width)
+    for lo in range(0, len(rows), step):
+        toks = [t[:-2] if t.endswith(".0") else t
+                for t in map(repr, rows[lo:lo + step].ravel().tolist())]
+        fh.write("".join(" ".join(toks[i:i + width]) + "\n"
+                         for i in range(0, len(toks), width)))
+
+
 def _parse_floats(tokens, lineno):
     out = []
     for tok in tokens:
@@ -78,8 +90,7 @@ def _read_xyz_lines(path):
 def write_xyz(ps, path):
     pts = validate(ps)
     with open(path, "w", newline="\n") as fh:
-        for p in pts:
-            fh.write(f"{fmt_float(p[0])} {fmt_float(p[1])} {fmt_float(p[2])}\n")
+        _write_rows(fh, pts, 3)
 
 
 def read_grid(path):
@@ -156,9 +167,7 @@ def write_grid(g, path):
         fh.write(f"{d} {d} {d}\n")
         fh.write(" ".join(fmt_float(c) for c in g.origin) + "\n")
         fh.write(fmt_float(g.cell_size) + "\n")
-        flat = g.values.reshape(d * d, d)  # one z-run per line
-        for row in flat:
-            fh.write(" ".join(fmt_float(v) for v in row) + "\n")
+        _write_rows(fh, g.values, d)  # one z-run per line
 
 
 def read_distribution_spec(path):

@@ -6,7 +6,7 @@ All samplers return multiset subsets of their input, in selection order.
 
 import numpy as np
 
-from .core import RandomSource, validate
+from .core import RandomSource, check_span, validate
 from .errors import EmptySet, KOutOfRange
 
 
@@ -24,12 +24,14 @@ def farthest_point_sample(ps, k, seed=0, start_index=None):
     start_index pins it. Each subsequent point maximizes the minimum distance
     to everything already selected; ties go to the lowest index. Selection
     compares squared distances, which yields the same argmax as Euclidean.
-    O(N k) time.
+    O(N k) time. Point sets whose squared distances could overflow float64
+    raise DistanceOverflow.
     """
     pts = validate(ps)
     n = len(pts)
     _check_k(n, int(k))
     k = int(k)
+    check_span(pts, pts)
     if start_index is None:
         start = int(RandomSource(seed).integers(n))
     else:

@@ -16,7 +16,7 @@ import numpy as np
 from . import io as psio
 from .chamfer import build_kdtree, chamfer_distance
 from .core import RandomSource, bounding_box
-from .emd import AuctionParams, emd, emd_auction, emd_exact
+from .emd import EXACT_LIMIT, AuctionParams, emd, emd_auction, emd_exact
 from .errors import KOutOfRange, ParseError, UnknownFamily
 from .losses import CandidateBundle, batch_loss, mon_loss
 from .meanshape import (SgdConfig, ShapeDistributionSpec, corner_regions,
@@ -201,10 +201,14 @@ def check_emd_dispatcher():
     a = rng.gen.random((10, 3))
     b = rng.gen.random((10, 3))
     assert emd(a, b).backend == "exact"
-    a = rng.gen.random((300, 3))
-    b = rng.gen.random((300, 3))
-    res = emd(a, b)
-    assert res.backend == "auction" and res.achieved_eps is not None
+    # a permuted copy keeps LSA cheap at the limit; one repeated point takes
+    # the auction's zero-cost exit just above it
+    a = rng.gen.random((EXACT_LIMIT, 3))
+    res = emd(a, a[::-1].copy())
+    assert res.backend == "exact" and res.achieved_eps is None
+    a = np.zeros((EXACT_LIMIT + 1, 3))
+    res = emd(a, a.copy())
+    assert res.backend == "auction" and res.achieved_eps == 0.0
 
 
 def check_sampling_fps():

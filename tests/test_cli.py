@@ -1,5 +1,6 @@
 """End-to-end CLI checks via subprocess: exit codes, formats, artifacts."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -120,6 +121,27 @@ def test_emd_auction_reports_achieved_eps(pair):
     # sound on this instance: optimum is 2.0
     assert obj["value"] >= 2.0 - 1e-9
     assert obj["value"] <= 2.0 * (1.0 + obj["achieved_eps"]) + 1e-9
+    assert obj["budget_relaxed"] is False
+    assert "budget_relaxed=False" in r.stderr
+
+
+def test_emd_auction_reports_budget_relaxation(pair):
+    a, b = pair
+    r = run_cli("emd", a, b, "--auction", "--budget-ms", "1e-6", "--json")
+    assert r.returncode == 0
+    obj = json.loads(r.stdout)
+    assert obj["budget_relaxed"] is True
+    assert obj["achieved_eps"] > obj["params"]["target_rel_err"]
+    assert "budget_relaxed=True" in r.stderr
+
+
+def test_emd_default_route_is_the_library_rule(pair, monkeypatch, capsys):
+    # the CLI asks psm.emd for its route, so moving the limit moves it
+    from psm import cli
+    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
+    assert cli.main(["emd", *pair, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["backend"] == "auction" and obj["budget_relaxed"] is False
 
 
 def test_emd_normalize_divides_by_size(pair):

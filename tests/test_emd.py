@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from psm.emd import (DISPATCH_THRESHOLD, EXACT_LIMIT, AuctionParams, emd,
+from psm.emd import (EXACT_LIMIT, AuctionParams, default_backend, emd,
                      emd_auction, emd_exact)
-from psm.errors import EmptySet, InstanceTooLarge, SizeMismatch
+from psm.errors import (DistanceOverflow, EmptySet, InstanceTooLarge,
+                        SizeMismatch)
 
 
 def emd_enum(a, b):
@@ -209,8 +210,11 @@ def test_auction_budget_relaxation_still_sound():
         a, b, AuctionParams(time_budget_s=1e-9))
     assert sorted(assignment.perm.tolist()) == list(range(32))
     assert res.value <= (1.0 + achieved) * exact + 1e-9
-    default_eps = emd_auction(a, b)[2]
+    # the target was missed, and the result says why
+    assert achieved > 0.01 and res.budget_relaxed is True
+    default, _, default_eps = emd_auction(a, b)
     assert achieved >= default_eps  # budget pressure loosens the bound
+    assert default_eps <= 0.01 and default.budget_relaxed is False
 
 
 def test_auction_tight_target_reaches_exact():
@@ -244,15 +248,33 @@ def test_auction_gradients_follow_returned_matching():
 # -------------------------------------------------------------- dispatcher
 
 def test_dispatcher_thresholds():
+    assert EXACT_LIMIT == 4096  # a 128 MiB float64 cost matrix
     rng = np.random.default_rng(45)
     a, b = pair(rng, 10)
     assert emd(a, b).backend == "exact"
-    a, b = pair(rng, DISPATCH_THRESHOLD)
-    assert emd(a, b).backend == "exact"
-    a, b = pair(rng, DISPATCH_THRESHOLD + 1)
-    assert emd(a, b).backend == "auction"
-    a, b = pair(rng, 300)
-    assert emd(a, b).backend == "auction"
+    a, b = pair(rng, 1024)
+    res = emd(a, b)
+    assert res.backend == "exact" and res.achieved_eps is None
+    # at the limit a permuted copy keeps LSA cheap; above it a single
+    # repeated point takes the auction's zero-cost exit
+    a = rng.random((EXACT_LIMIT, 3))
+    res = emd(a, a[::-1].copy())
+    assert default_backend(EXACT_LIMIT) == res.backend == "exact"
+    assert res.value == 0.0 and res.achieved_eps is None
+    a = np.zeros((EXACT_LIMIT + 1, 3))
+    res = emd(a, a.copy())
+    assert default_backend(EXACT_LIMIT + 1) == res.backend == "auction"
+    assert res.achieved_eps == 0.0 and res.budget_relaxed is False
+
+
+def test_overflowing_coordinates_raise_typed_error():
+    a = np.array([(1e200, 0.0, 0.0), (-1e200, 0.0, 0.0)])
+    for solve in (emd, lambda x, y: emd_exact(x, y), lambda x, y: emd_auction(x, y)):
+        with pytest.raises(DistanceOverflow):
+            solve(a, a[::-1].copy())
+    # large magnitudes are fine while the points stay close
+    near = 1e200 + np.array([(0.0, 0.0, 0.0), (1e150, 0.0, 0.0)])
+    assert emd(near, near[::-1].copy()).value == 0.0
 
 
 def test_dispatcher_backends_agree_within_bound():

@@ -73,6 +73,38 @@ def test_write_xyz_empty(tmp_path):
     assert psio.read_xyz(p).shape == (0, 3)
 
 
+def special_values(rng, n, lo):
+    """n values mixing integral values, subnormals, negative zero and
+    shortest-repr edge cases with random ones in [lo, 1]."""
+    edge = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 0.5, 0.1, 1e-5,
+            1e-16, 1 - 2**-53]
+    if lo < 0:
+        edge += [-1.0, -2.0**52, 2.0**53, 1e16, -1e22, 123456789.0, -5e-324]
+    vals = rng.uniform(lo, 1.0, size=n)
+    vals[rng.integers(0, n, size=n // 2)] = rng.choice(edge, size=n // 2)
+    return vals
+
+
+def test_writers_match_per_value_fmt_float(tmp_path):
+    # byte parity with one fmt_float per value, on sizes that span more
+    # than one block of formatted lines
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 22000):
+        pts = special_values(rng, 3 * n, -1.0).reshape(n, 3)
+        p = tmp_path / "p.xyz"
+        psio.write_xyz(pts, p)
+        want = "".join(" ".join(psio.fmt_float(v) for v in row) + "\n" for row in pts)
+        assert p.read_bytes() == want.encode()
+    for d in (1, 5, 41):
+        g = OccupancyGrid(d, [-0.0, 1.0, -2.5], 0.125, special_values(rng, d ** 3, 0.0).reshape(d, d, d))
+        p = tmp_path / "g.psgrid"
+        psio.write_grid(g, p)
+        body = "".join(" ".join(psio.fmt_float(v) for v in row) + "\n"
+                       for row in g.values.reshape(d * d, d))
+        want = f"PSGRID 1\n{d} {d} {d}\n-0 1 -2.5\n0.125\n" + body
+        assert p.read_bytes() == want.encode()
+
+
 def test_xyz_round_trip_exact(tmp_path):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(1000, 3)) * rng.choice([1e-9, 1.0, 1e12], size=(1000, 1))

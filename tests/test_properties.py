@@ -1,4 +1,5 @@
-"""Property tests on adversarial clouds: Chamfer backends and FPS.
+"""Property tests on adversarial clouds: Chamfer backends, FPS and the
+assignment solvers.
 
 Clouds come in the shapes that break nearest-neighbor searches and greedy
 samplers: duplicated points, 1/64 and integer lattices (exact ties between
@@ -8,11 +9,15 @@ Examples are derandomized and kept out of any database, so every run checks
 the same examples.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from psm.chamfer import KdTree, chamfer_distance
+from psm.emd import emd_auction, emd_exact
 from psm.sampling import farthest_point_sample
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
@@ -54,6 +59,15 @@ def cloud_pairs(draw):
     kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return make_cloud(kind, draw(sizes), rng), make_cloud(kind, draw(sizes), rng)
+
+
+@st.composite
+def equal_size_pairs(draw, max_size):
+    """Two clouds of one kind and one size, for the assignment solvers."""
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_size))
+    return make_cloud(kind, n, rng), make_cloud(kind, n, rng)
 
 
 def lowest_index_nn(q, pts):
@@ -99,3 +113,31 @@ def test_fps_equals_rowsum_greedy(kind, n, seed, data):
     start = data.draw(st.integers(0, n - 1))
     got = farthest_point_sample(pts, k, start_index=start)
     assert got.tobytes() == fps_rowsum(pts, k, start).tobytes()
+
+
+# two matchings of equal true cost can sum a few ulps apart
+SUM_RTOL = 1e-12
+
+
+@CHECKED
+@given(equal_size_pairs(max_size=6))
+def test_exact_equals_enumeration(pair):
+    a, b = pair
+    cost = cdist(a, b)
+    s = len(a)
+    best = min(cost[np.arange(s), p].sum() for p in itertools.permutations(range(s)))
+    res, assignment = emd_exact(a, b)
+    assert sorted(assignment.perm.tolist()) == list(range(s))
+    assert abs(res.value - best) <= SUM_RTOL * best
+
+
+@CHECKED
+@given(equal_size_pairs(max_size=48))
+def test_auction_within_its_certificate(pair):
+    a, b = pair
+    exact = emd_exact(a, b)[0].value
+    res, assignment, achieved = emd_auction(a, b)
+    assert sorted(assignment.perm.tolist()) == list(range(len(a)))
+    # at s <= 48 the auction takes well under 0.1 s of its 1 s budget
+    assert res.budget_relaxed is False and achieved <= 0.01
+    assert exact * (1 - SUM_RTOL) <= res.value <= (1 + achieved) * exact * (1 + SUM_RTOL)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from psm.errors import EmptySet, KOutOfRange
+from psm.errors import DistanceOverflow, EmptySet, KOutOfRange
 from psm.sampling import equalize, farthest_point_sample, random_subsample
 
 
@@ -118,6 +118,18 @@ def test_fps_range_errors():
         farthest_point_sample(pts, 3, start_index=11)
     with pytest.raises(EmptySet):
         farthest_point_sample(np.empty((0, 3)), 1)
+
+
+def test_fps_rejects_overflowing_distances():
+    # squared distances of 4e400 would all read inf, and the lowest index
+    # would win where the farthest point should
+    pts = np.array([(1e200, 0, 0), (-1e200, 0, 0), (0, 0, 0)])
+    with pytest.raises(DistanceOverflow):
+        farthest_point_sample(pts, 2, start_index=2)
+    # large magnitudes are fine while the points stay close
+    near = np.array([(1e160, 0, 0), (1e160 + 1e152, 0, 0), (1e160 + 3e152, 0, 0)])
+    out = farthest_point_sample(near, 3, start_index=0)
+    assert out.tolist() == near[[0, 2, 1]].tolist()
 
 
 def test_random_subsample_reproducible_subset():
