@@ -115,9 +115,7 @@ def _cmd_emd(args):
         obj["achieved_eps"] = achieved
         obj["budget_relaxed"] = res.budget_relaxed
         obj["params"] = {"target_rel_err": params.target_rel_err,
-                         "scaling_factor": params.scaling_factor,
-                         "time_budget_s": params.time_budget_s,
-                         "relax_factor": params.relax_factor}
+                         "time_budget_s": params.time_budget_s}
         print(f"auction: achieved_eps={achieved:.6g} "
               f"target_rel_err={params.target_rel_err:g} "
               f"budget_ms={args.budget_ms:g} "

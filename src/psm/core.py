@@ -107,8 +107,9 @@ class DistanceResult:
     (d value / d a_i); grad_b likewise for the second. backend names the
     kernel that produced the value. achieved_eps and budget_relaxed are
     populated only by the approximate assignment route: the relative
-    optimality bound it certifies, and whether the time budget stopped its
-    epsilon schedule early.
+    optimality bound it certifies, and whether that bound may miss the
+    requested target because the final epsilon stayed above the target's
+    floor (the time budget ran out, or float64 could not resolve the floor).
     """
 
     value: float

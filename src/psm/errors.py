@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Domain errors subclass ValueError so callers can catch broadly; the two
-runtime failures (budget exhaustion, divergence) subclass RuntimeError
-because they signal a failed computation rather than bad input.
+Domain errors subclass ValueError so callers can catch broadly; the one
+runtime failure, divergence, subclasses RuntimeError because it signals a
+failed computation rather than bad input.
 """
 
 
@@ -79,11 +79,6 @@ class GridMismatch(ValueError):
 
 class NonBinaryGrid(ValueError):
     pass
-
-
-class BudgetExhaustedWithoutAssignment(RuntimeError):
-    def __init__(self):
-        super().__init__("time budget exhausted before any complete assignment")
 
 
 class DivergenceDetected(RuntimeError):

@@ -276,7 +276,6 @@ class SgdConfig:
     batch: int = 8
     lr0: float = 0.5
     t_half: float = 100.0
-    init: str = "uniform"
     m: int | None = None
     seed: int = 0
 
@@ -287,8 +286,6 @@ class SgdConfig:
             raise ValueError("steps and batch must be >= 1")
         if not self.lr0 > 0 or not self.t_half > 0:
             raise ValueError("lr0 and t_half must be > 0")
-        if self.init != "uniform":
-            raise ValueError(f"unknown init policy {self.init!r}")
 
 
 def _loss_and_grad(x, shape, metric):

@@ -352,8 +352,8 @@ def check_auction_params_surface():
     p = AuctionParams()
     p.check()
     try:
-        AuctionParams(scaling_factor=1.5).check()
-        raise AssertionError("bad scaling_factor accepted")
+        AuctionParams(target_rel_err=0.0).check()
+        raise AssertionError("bad target_rel_err accepted")
     except ValueError:
         pass
 

@@ -116,7 +116,7 @@ def test_emd_auction_reports_achieved_eps(pair):
     obj = json.loads(r.stdout)
     assert obj["backend"] == "auction"
     assert obj["achieved_eps"] >= 0.0
-    assert obj["params"]["target_rel_err"] == 0.01
+    assert obj["params"] == {"target_rel_err": 0.01, "time_budget_s": 1.0}
     assert "achieved_eps=" in r.stderr
     # sound on this instance: optimum is 2.0
     assert obj["value"] >= 2.0 - 1e-9

@@ -153,7 +153,7 @@ def test_bar_disk_presence():
 def test_config_validation():
     SgdConfig().check()
     bad = [dict(metric="hausdorff"), dict(steps=0), dict(batch=0),
-           dict(lr0=0.0), dict(t_half=0.0), dict(init="gaussian")]
+           dict(lr0=0.0), dict(t_half=0.0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             SgdConfig(**kwargs).check()

@@ -5,6 +5,8 @@ Clouds come in the shapes that break nearest-neighbor searches and greedy
 samplers: duplicated points, 1/64 and integer lattices (exact ties between
 and within sets), collinear and coplanar sets, a 1e8 offset, magnitudes
 near both ends of float64's range, one or two points, and all points equal.
+The assignment solvers also meet near-coincident pairs: a cloud and a copy
+moved by far less than float64 resolves at its spread.
 Examples are derandomized and kept out of any database, so every run checks
 the same examples.
 """
@@ -17,11 +19,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from psm.chamfer import KdTree, chamfer_distance
-from psm.emd import emd_auction, emd_exact
+from psm.emd import AuctionParams, emd_auction, emd_exact
 from psm.sampling import farthest_point_sample
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
          "coplanar", "offset", "huge", "tiny", "identical")
+PAIR_KINDS = KINDS + ("near_coincident",)
 
 CHECKED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -62,11 +65,14 @@ def cloud_pairs(draw):
 
 
 @st.composite
-def equal_size_pairs(draw, max_size):
+def equal_size_pairs(draw, max_size, kinds=KINDS):
     """Two clouds of one kind and one size, for the assignment solvers."""
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, max_size))
+    if kind == "near_coincident":
+        a = make_cloud("generic", n, rng)
+        return a, a + 1e-17 * rng.normal(size=a.shape)
     return make_cloud(kind, n, rng), make_cloud(kind, n, rng)
 
 
@@ -140,4 +146,16 @@ def test_auction_within_its_certificate(pair):
     assert sorted(assignment.perm.tolist()) == list(range(len(a)))
     # at s <= 48 the auction takes well under 0.1 s of its 1 s budget
     assert res.budget_relaxed is False and achieved <= 0.01
+    assert exact * (1 - SUM_RTOL) <= res.value <= (1 + achieved) * exact * (1 + SUM_RTOL)
+
+
+@CHECKED
+@given(equal_size_pairs(max_size=48, kinds=PAIR_KINDS),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_auction_flags_every_missed_target(pair, target):
+    a, b = pair
+    exact = emd_exact(a, b)[0].value
+    res, assignment, achieved = emd_auction(a, b, AuctionParams(target_rel_err=target))
+    assert sorted(assignment.perm.tolist()) == list(range(len(a)))
+    assert achieved <= target or res.budget_relaxed is True
     assert exact * (1 - SUM_RTOL) <= res.value <= (1 + achieved) * exact * (1 + SUM_RTOL)
