@@ -350,7 +350,9 @@ def build_parser():
     common.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON object")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: PSM_THREADS or CPU count)")
+                        help="worker threads for mon and meanshape (default: "
+                             "PSM_THREADS or 1; 2 threads cost a Chamfer "
+                             "mean-shape step 7.5 ms of CPU, 1 thread 5 ms)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chamfer", parents=[common],

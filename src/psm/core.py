@@ -121,13 +121,18 @@ class DistanceResult:
 
 
 def resolve_threads(threads=None):
-    """Thread count: explicit argument, then PSM_THREADS, then CPU count."""
+    """Thread count: explicit argument, then PSM_THREADS, then 1.
+
+    Serial by default: the mapped calls are short, and on a 2-vCPU x86 guest
+    a Chamfer mean-shape step took about 7.5 ms of CPU on 2 threads against
+    5 ms on 1, with the same trajectory.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("PSM_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return 1
 
 
 def ordered_map(fn, items, threads=1):

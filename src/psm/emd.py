@@ -54,10 +54,11 @@ class AuctionParams:
     allowed for it.
 
     Epsilon starts at max_cost / 2 and shrinks by EPS_SCALING per phase
-    down to target_rel_err * cost / (2 s), which places the certified bound
-    safely inside the target. When time_budget_s runs out first, the last
-    complete assignment is returned and its certified bound (achieved_eps)
-    widens accordingly.
+    down to min(t, 1) * cost / (2 s), t = target_rel_err, which places the
+    certified bound inside the target: at most t / (2 - t) for t <= 1, and
+    at most 1 above. When time_budget_s runs out first, the last complete
+    assignment is returned and its certified bound (achieved_eps) widens
+    accordingly.
     """
 
     target_rel_err: float = 0.01
@@ -163,10 +164,10 @@ def emd_auction(a, b, params=None, want_grad=False):
     at most (1 + achieved_eps) times the optimum. It follows from
     epsilon-complementary slackness, which caps the absolute gap at
     s * eps_final; the conversion uses the returned cost itself. The
-    result's budget_relaxed is True when the final epsilon stays above the
-    floor that params.target_rel_err asks for, so achieved_eps may exceed
-    it: the time budget ran out, or on near-coincident sets float64 cannot
-    resolve that floor.
+    result's budget_relaxed is True when achieved_eps exceeds
+    params.target_rel_err or the final epsilon stays above the floor the
+    target asks for: the time budget ran out, or on near-coincident sets
+    float64 cannot resolve that floor.
     """
     a, b = _check_pair(a, b)
     if params is None:
@@ -202,7 +203,7 @@ def emd_auction(a, b, params=None, want_grad=False):
         perm, eps_final = assigned_item, eps
         per_pair = cost[np.arange(s), perm]
         value = float(np.sum(per_pair))
-        target_floor = params.target_rel_err * value / (2.0 * s)
+        target_floor = min(params.target_rel_err, 1.0) * value / (2.0 * s)
         floor = max(target_floor, tiny)
         if eps <= floor or time.perf_counter() - t0 > params.time_budget_s:
             break
@@ -214,7 +215,8 @@ def emd_auction(a, b, params=None, want_grad=False):
         achieved, relaxed = 0.0, False
     else:
         achieved = slack / (value - slack) if value > slack else math.inf
-        relaxed = eps_final > target_floor
+        # the second test catches rounding at the floor
+        relaxed = eps_final > target_floor or achieved > params.target_rel_err
     result = DistanceResult(value, backend="auction", achieved_eps=achieved,
                             budget_relaxed=relaxed)
     if want_grad:

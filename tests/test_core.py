@@ -1,11 +1,18 @@
 """Core types: validation, bounding boxes, seeded randomness, thread plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
+import psm.core
+from psm import cli
+from psm import io as psio
 from psm.core import (RandomSource, as_points, bounding_box, ordered_map,
                       resolve_threads, validate)
 from psm.errors import EmptySet, NonFiniteCoordinate
+from psm.losses import CandidateBundle, batch_loss, mon_loss
+from psm.meanshape import SgdConfig, ShapeDistributionSpec, optimize_mean_shape
 
 
 def bbox_loop(pts):
@@ -106,7 +113,7 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads() == 3
     assert resolve_threads(2) == 2  # explicit argument wins
     monkeypatch.delenv("PSM_THREADS")
-    assert resolve_threads() >= 1
+    assert resolve_threads() == 1  # serial unless asked
 
 
 def test_ordered_map_preserves_order():
@@ -123,3 +130,34 @@ def test_ordered_map_thread_count_invariant():
     pooled = ordered_map(np.sort, blocks, threads=6)
     for s, p in zip(serial, pooled):
         assert np.array_equal(s, p)
+
+
+def test_default_threads_start_no_pool(monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(psm.core, "ThreadPoolExecutor", no_pool)
+    monkeypatch.delenv("PSM_THREADS", raising=False)
+    # the patch bites when a pool is asked for
+    with pytest.raises(AssertionError):
+        ordered_map(abs, [1, 2], threads=2)
+
+    spec = ShapeDistributionSpec("corner_square", n_points=16)
+    for metric in ("cd", "emd"):
+        optimize_mean_shape(spec, SgdConfig(metric=metric, steps=2, batch=4))
+    rng = np.random.default_rng(0)
+    gt = rng.normal(size=(8, 3))
+    cands = [rng.normal(size=(8, 3)) for _ in range(3)]
+    mon_loss(CandidateBundle(cands, gt))
+    batch_loss([(c, gt) for c in cands])
+
+    gt_path = str(tmp_path / "gt.xyz")
+    psio.write_xyz(gt, gt_path)
+    cand_paths = []
+    for j, c in enumerate(cands):
+        cand_paths.append(str(tmp_path / f"c{j}.xyz"))
+        psio.write_xyz(c, cand_paths[-1])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"family": "bar_disk", "n_points": 16}))
+    assert cli.main(["mon", gt_path, *cand_paths]) == 0
+    assert cli.main(["meanshape", "--spec", str(spec_path), "--steps", "2"]) == 0

@@ -208,6 +208,30 @@ def test_auction_flags_vacuous_certificate_on_near_coincident_sets(monkeypatch):
     assert res.achieved_eps == math.inf and res.budget_relaxed is True
 
 
+def test_auction_meets_targets_above_one():
+    # a floor of t * cost / (2 s) would bound achieved_eps by t / (2 - t),
+    # which misses t > 1 and is vacuous from t = 2; these targets are met
+    rng = np.random.default_rng(47)
+    for s in (2, 5, 12, 30):
+        a, b = pair(rng, s)
+        exact = emd_exact(a, b)[0].value
+        for target in (1.5, 2.0, 5.0, 40.0):
+            res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=target))
+            assert achieved <= target and res.budget_relaxed is False
+            assert exact <= res.value * (1 + 1e-12)
+            assert res.value <= (1 + achieved) * exact * (1 + 1e-12)
+
+
+def test_auction_flags_rounding_past_target():
+    # at t = 1 the floor certifies exactly 1 in real arithmetic; here the
+    # certificate rounds one ulp above it, and the result says so
+    rng = np.random.default_rng(57)
+    a, b = pair(rng, int(rng.integers(2, 30)))
+    res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=1.0))
+    assert 1.0 < achieved < 1.0 + 1e-15
+    assert res.budget_relaxed is True
+
+
 def test_auction_deterministic():
     rng = np.random.default_rng(41)
     a, b = pair(rng, 80)

@@ -1,5 +1,6 @@
 """Shape distributions and the SGD mean-shape optimizer."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -101,6 +102,28 @@ def test_draw_stream_deterministic():
     for s1, s2 in zip(a, b):
         assert np.array_equal(s1, s2)
     assert d1[0].shape == (31, 3)
+
+
+# SHA-256 over the bytes of 16 draws of 256 points from RandomSource(2024)
+DRAW_DIGESTS = {
+    "circle_radius": "59d79875a97429736afcdc7753bf71edac671877cea773d6b2bcf45dd47e2410",
+    "spiky_arc": "a12c1b6dfe7fe3ae65f6c5550a7602c41425fcb9c3b665516e85bd5cec6c2d64",
+    "corner_square": "5767df4199d8fc639fa25896d9376fb5dce36b29932c5cb6b4586b7a6432fda2",
+    "bar_disk": "db65dc32f0d74f9f43bb6c851dc3fabf519ed4619b3a0b947bb507cb1534b3a1",
+}
+
+
+@pytest.mark.parametrize("family", sorted(DRAW_DIGESTS))
+def test_draw_bytes_pinned(family):
+    # the optimizer's trajectories depend on every bit of every draw
+    spec = ShapeDistributionSpec(family, n_points=256)
+    rng = RandomSource(2024)
+    digest = hashlib.sha256()
+    for _ in range(16):
+        s = draw_shape(spec, rng)
+        assert s.dtype == np.float64 and s.flags.c_contiguous
+        digest.update(s.tobytes())
+    assert digest.hexdigest() == DRAW_DIGESTS[family]
 
 
 def test_corner_choice_frequency():

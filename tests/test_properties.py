@@ -1,5 +1,5 @@
-"""Property tests on adversarial clouds: Chamfer backends, FPS and the
-assignment solvers.
+"""Property tests on adversarial clouds: Chamfer backends and gradients, FPS
+and the assignment solvers.
 
 Clouds come in the shapes that break nearest-neighbor searches and greedy
 samplers: duplicated points, 1/64 and integer lattices (exact ties between
@@ -14,7 +14,7 @@ the same examples.
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -27,6 +27,9 @@ KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
 PAIR_KINDS = KINDS + ("near_coincident",)
 
 CHECKED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# two matchings (or two center sets) of equal true cost can sum a few ulps apart
+SUM_RTOL = 1e-12
 
 
 def make_cloud(kind, n, rng):
@@ -121,8 +124,106 @@ def test_fps_equals_rowsum_greedy(kind, n, seed, data):
     assert got.tobytes() == fps_rowsum(pts, k, start).tobytes()
 
 
-# two matchings of equal true cost can sum a few ulps apart
-SUM_RTOL = 1e-12
+def covering_radius(pts, centers):
+    return cdist(pts, centers).min(axis=1).max()
+
+
+@CHECKED
+@given(st.sampled_from(KINDS), st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+def test_fps_covering_radius_within_twice_optimum(kind, n, seed, data):
+    # greedy max-min is a 2-approximation to k-center (Gonzalez 1985); the
+    # optimum here is over centers drawn from the cloud, which is no smaller
+    pts = make_cloud(kind, n, np.random.default_rng(seed))
+    k = data.draw(st.integers(1, min(3, n)))
+    start = data.draw(st.integers(0, n - 1))
+    got = covering_radius(pts, farthest_point_sample(pts, k, start_index=start))
+    best = min(covering_radius(pts, pts[list(c)])
+               for c in itertools.combinations(range(n), k))
+    assert got <= 2.0 * best * (1 + SUM_RTOL)
+
+
+# Finite differences need a step far below the clouds' spread, and they hold
+# only where the nearest neighbors or the optimal matching stay fixed within
+# one step: draws whose margin is below the step are discarded. A coordinate
+# moves every distance by at most the step. Squared distances of the tiny
+# kind are subnormal and cannot resolve a step; identical clouds have none.
+FD_KINDS = tuple(k for k in KINDS if k not in ("tiny", "identical"))
+
+
+def spread(a, b):
+    return float(np.ptp(np.concatenate([a, b]), axis=0).max())
+
+
+def central_differences(f, a, b, h):
+    """(df/da, df/db), one coordinate at a time over the actual step taken."""
+    out = []
+    for which in (0, 1):
+        pair = [a, b]
+        g = np.empty_like(pair[which])
+        for idx in np.ndindex(g.shape):
+            up, down = pair[which].copy(), pair[which].copy()
+            up[idx] += h
+            down[idx] -= h
+            pair[which] = up
+            f_up = f(*pair)
+            pair[which] = down
+            g[idx] = (f_up - f(*pair)) / (up[idx] - down[idx])
+        out.append(g)
+    return out
+
+
+def nn_margin(q, pts):
+    """Smallest gap between a row's nearest and second-nearest distance."""
+    if len(pts) < 2:
+        return np.inf
+    d = np.sort(cdist(q, pts), axis=1)
+    return float((d[:, 1] - d[:, 0]).min())
+
+
+@st.composite
+def fd_pairs(draw, max_size, equal_size=False):
+    kind = draw(st.sampled_from(FD_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    na = draw(st.integers(1, max_size))
+    nb = na if equal_size else draw(st.integers(1, max_size))
+    return make_cloud(kind, na, rng), make_cloud(kind, nb, rng)
+
+
+@CHECKED
+@given(fd_pairs(max_size=6), st.sampled_from(["brute", "kdtree"]))
+def test_chamfer_gradients_match_margin_filtered_differences(pair, backend):
+    a, b = pair
+    span = spread(a, b)
+    h = 1e-6 * span
+    # 4h leaves room for rounding on top of the 2h a gap can lose
+    assume(h > 0 and min(nn_margin(a, b), nn_margin(b, a)) > 4 * h)
+    res = chamfer_distance(a, b, want_grad=True, backend=backend)
+    # with its neighbors fixed the value is quadratic in each coordinate, so
+    # central differences are exact up to rounding of the value
+    fd_a, fd_b = central_differences(
+        lambda p, q: chamfer_distance(p, q, backend=backend).value, a, b, h)
+    tol = 1e-8 * (len(a) + len(b)) * span
+    assert np.abs(res.grad_a - fd_a).max() <= tol
+    assert np.abs(res.grad_b - fd_b).max() <= tol
+
+
+@CHECKED
+@given(fd_pairs(max_size=5, equal_size=True))
+def test_exact_gradients_match_margin_filtered_differences(pair):
+    a, b = pair
+    h = 1e-6 * spread(a, b)
+    assume(h > 0)
+    cost = cdist(a, b)
+    s = len(a)
+    totals = sorted(cost[np.arange(s), p].sum() for p in itertools.permutations(range(s)))
+    margin = totals[1] - totals[0] if s > 1 else np.inf
+    res, assignment = emd_exact(a, b, want_grad=True)
+    # the norm bends at a coincident pair; 1000 steps away the central
+    # difference is off by about (h / length)^2 / 2
+    assume(margin > 4 * h and assignment.per_pair_cost.min() > 1e3 * h)
+    fd_a, fd_b = central_differences(lambda p, q: emd_exact(p, q)[0].value, a, b, h)
+    assert np.abs(res.grad_a - fd_a).max() <= 1e-5
+    assert np.abs(res.grad_b - fd_b).max() <= 1e-5
 
 
 @CHECKED
@@ -151,7 +252,7 @@ def test_auction_within_its_certificate(pair):
 
 @CHECKED
 @given(equal_size_pairs(max_size=48, kinds=PAIR_KINDS),
-       st.floats(0.0, 1.0, exclude_min=True))
+       st.floats(0.0, 10.0, exclude_min=True))
 def test_auction_flags_every_missed_target(pair, target):
     a, b = pair
     exact = emd_exact(a, b)[0].value
