@@ -4,21 +4,19 @@ Exit codes: 0 success, 1 domain error (single `error: ...` line on stderr),
 2 usage error. Scalar results print with 12 significant digits; --json on
 any subcommand emits one machine-readable object instead (schemas in
 docs/formats.md). No hidden state: every run is a pure function of its
-flags and input files, wall-clock benchmark timings excepted.
+flags and input files.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import io as psio
 from .chamfer import chamfer_distance
-from .core import RandomSource, resolve_threads
+from .core import resolve_threads
 from .emd import (EXACT_LIMIT, AuctionParams, default_backend, emd_auction,
                   emd_exact)
 from .losses import CandidateBundle, mon_loss
@@ -232,109 +230,6 @@ def _cmd_meanshape(args):
     return 0
 
 
-def _bench_one_size(s, trials, seed, budget_ms):
-    rows = []
-    rng = RandomSource(seed)
-    streams = rng.split(trials)
-    for src in streams:
-        a = src.gen.random((s, 3))
-        b = src.gen.random((s, 3))
-        t0 = time.perf_counter()
-        params = AuctionParams(time_budget_s=budget_ms / 1000.0)
-        res_auc, _, achieved = emd_auction(a, b, params)
-        t_auction = time.perf_counter() - t0
-        exact_value = None
-        t_exact = None
-        if s <= EXACT_LIMIT:
-            t0 = time.perf_counter()
-            res_ex, _ = emd_exact(a, b)
-            t_exact = time.perf_counter() - t0
-            exact_value = res_ex.value
-        t0 = time.perf_counter()
-        chamfer_distance(a, b, backend="brute")
-        t_cd_brute = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        chamfer_distance(a, b, backend="kdtree")
-        t_cd_kd = time.perf_counter() - t0
-        rel = None
-        if exact_value is not None:
-            rel = (res_auc.value - exact_value) / exact_value if exact_value > 0 else 0.0
-        rows.append({"rel_err": rel, "achieved_eps": achieved,
-                     "t_auction": t_auction, "t_exact": t_exact,
-                     "t_cd_brute": t_cd_brute, "t_cd_kd": t_cd_kd})
-    return rows
-
-
-def _cmd_bench(args):
-    sizes = [int(t) for t in args.sizes.split(",")]
-    report = []
-    for s in sizes:
-        rows = _bench_one_size(s, args.trials, args.seed, args.budget_ms)
-        rels = [r["rel_err"] for r in rows if r["rel_err"] is not None]
-        achieved = [r["achieved_eps"] for r in rows]
-        entry = {
-            "size": s,
-            "trials": args.trials,
-            "exact_feasible": rows[0]["t_exact"] is not None,
-            "rel_err_mean": float(np.mean(rels)) if rels else None,
-            "rel_err_p95": float(np.percentile(rels, 95)) if rels else None,
-            "achieved_eps_p95": float(np.percentile(achieved, 95)),
-            "ms_auction": 1e3 * float(np.mean([r["t_auction"] for r in rows])),
-            "ms_exact": (1e3 * float(np.mean([r["t_exact"] for r in rows]))
-                         if rows[0]["t_exact"] is not None else None),
-            "ms_cd_brute": 1e3 * float(np.mean([r["t_cd_brute"] for r in rows])),
-            "ms_cd_kdtree": 1e3 * float(np.mean([r["t_cd_kd"] for r in rows])),
-        }
-        report.append(entry)
-    cd_note = None
-    if args.cd_n:
-        rng = RandomSource(args.seed)
-        a = rng.gen.random((args.cd_n, 3))
-        b = rng.gen.random((args.cd_n, 3))
-        t0 = time.perf_counter()
-        chamfer_distance(a, b, backend="brute")
-        t_brute = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        chamfer_distance(a, b, backend="kdtree")
-        t_kd = time.perf_counter() - t0
-        cd_note = {"n": args.cd_n, "ms_brute": 1e3 * t_brute,
-                   "ms_kdtree": 1e3 * t_kd, "kdtree_faster": t_kd < t_brute}
-    if args.csv is not None:
-        fields = list(report[0].keys())
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fields)
-            w.writeheader()
-            w.writerows(report)
-    obj = {"command": "bench", "rows": report, "cd_timing": cd_note}
-
-    def cell(v, fmt, width):
-        text = "-" if v is None else format(v, fmt)
-        return text.rjust(width)
-
-    lines = ["  ".join(h.rjust(w) for h, w in zip(
-        ("size", "relerr_mean", "relerr_p95", "eps_p95", "auction_ms",
-         "exact_ms", "cd_brute_ms", "cd_kd_ms"),
-        (6, 11, 11, 10, 10, 9, 11, 9)))]
-    for e in report:
-        lines.append("  ".join([
-            cell(e["size"], "d", 6),
-            cell(e["rel_err_mean"], ".3e", 11),
-            cell(e["rel_err_p95"], ".3e", 11),
-            cell(e["achieved_eps_p95"], ".3e", 10),
-            cell(e["ms_auction"], ".2f", 10),
-            cell(e["ms_exact"], ".2f", 9),
-            cell(e["ms_cd_brute"], ".2f", 11),
-            cell(e["ms_cd_kdtree"], ".2f", 9),
-        ]))
-    if cd_note is not None:
-        lines.append("cd n={}: brute {:.1f} ms, kdtree {:.1f} ms, "
-                     "kdtree_faster={}".format(cd_note["n"], cd_note["ms_brute"],
-                                               cd_note["ms_kdtree"],
-                                               cd_note["kdtree_faster"]))
-    _emit(args, obj, lines)
-    return 0
-
-
 def _cmd_selftest(args):
     from .selftest import run_selftest
     failures = run_selftest(json_mode=args.json)
@@ -449,17 +344,6 @@ def build_parser():
     p.add_argument("--trace", metavar="TRACE.csv")
     p.set_defaults(func=_cmd_meanshape)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="accuracy/speed benchmark of the solvers")
-    p.add_argument("--sizes", default="64,128,256")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-ms", type=float, default=1000.0)
-    p.add_argument("--cd-n", type=int, default=4096,
-                   help="extra Chamfer timing size (0 disables)")
-    p.add_argument("--csv", metavar="OUT.csv")
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("selftest", parents=[common],
                        help="run the built-in invariant suite")
     p.set_defaults(func=_cmd_selftest)
@@ -471,7 +355,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

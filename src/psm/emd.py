@@ -195,6 +195,7 @@ def emd_auction(a, b, params=None, want_grad=False):
     # end, so there is an assignment to return; later phases stop at a hard
     # deadline well past the budget, which is otherwise checked between them
     deadline = math.inf
+    floor = 0.0
     while True:
         owner = np.full(s, -1, dtype=np.int64)
         assigned_item = np.full(s, -1, dtype=np.int64)
@@ -203,18 +204,23 @@ def emd_auction(a, b, params=None, want_grad=False):
         perm, eps_final = assigned_item, eps
         per_pair = cost[np.arange(s), perm]
         value = float(np.sum(per_pair))
-        target_floor = min(params.target_rel_err, 1.0) * value / (2.0 * s)
-        floor = max(target_floor, tiny)
+        slack = s * eps
+        achieved = slack / (value - slack) if value > slack else math.inf
+        # the floor is set until eps reaches it, and moves after that only
+        # when the phase run at the floor missed the target because its value
+        # fell; moving it after every phase would rerun the floor phase at a
+        # hair lower eps until the value happened to rise
+        if eps > floor or achieved > params.target_rel_err:
+            target_floor = min(params.target_rel_err, 1.0) * value / (2.0 * s)
+            floor = max(target_floor, tiny)
         if eps <= floor or time.perf_counter() - t0 > params.time_budget_s:
             break
         eps = max(eps * EPS_SCALING, floor)
         deadline = t0 + 16.0 * params.time_budget_s
 
-    slack = s * eps_final
     if value <= 0.0:  # a zero-cost matching is optimal whatever eps found it
         achieved, relaxed = 0.0, False
     else:
-        achieved = slack / (value - slack) if value > slack else math.inf
         # the second test catches rounding at the floor
         relaxed = eps_final > target_floor or achieved > params.target_rel_err
     result = DistanceResult(value, backend="auction", achieved_eps=achieved,

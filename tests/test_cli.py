@@ -1,10 +1,13 @@
 """End-to-end CLI checks via subprocess: exit codes, formats, artifacts."""
 
+import argparse
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +189,16 @@ def test_voxelize_raw_keeps_fractions(tmp_path):
     assert ((vals > 0) & (vals < 1)).any()
 
 
+def test_voxelize_oversized_grid_is_domain_error(tmp_path):
+    # 100000^3 float64 cells exceed the address space, so the allocation
+    # fails at once without touching memory
+    c = write(tmp_path / "c.xyz", "0 0 0\n1 1 1\n")
+    r = run_cli("voxelize", c, "--dims", "100000", "-o",
+                str(tmp_path / "g.psgrid"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+
 def test_voxelize_no_clamp_errors_on_outside_point(tmp_path):
     cloud = write(tmp_path / "c.xyz", "100 0 0\n")
     r = run_cli("voxelize", cloud, "--dims", "4", "--no-clamp",
@@ -324,32 +337,31 @@ def test_meanshape_bad_spec_file(tmp_path):
     assert r.stderr.startswith("error:")
 
 
-# ------------------------------------------------------------------ bench
-
-def test_bench_table_csv_json(tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    r = run_cli("bench", "--sizes", "8,12", "--trials", "2", "--cd-n", "0",
-                "--csv", str(csv_path), "--json")
-    assert r.returncode == 0
-    obj = json.loads(r.stdout)
-    assert [row["size"] for row in obj["rows"]] == [8, 12]
-    for row in obj["rows"]:
-        assert row["exact_feasible"] is True
-        # per-trial rel_err <= achieved_eps, so the percentiles follow suit
-        assert row["rel_err_p95"] <= row["achieved_eps_p95"] + 1e-12
-    assert obj["cd_timing"] is None
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("size,")
-    assert len(lines) == 3
-
-    r2 = run_cli("bench", "--sizes", "8", "--trials", "2", "--cd-n", "0")
-    assert r2.returncode == 0
-    header = r2.stdout.splitlines()[0].split()
-    assert header[0] == "size" and "relerr_p95" in header
-
-
 # --------------------------------------------------------------- selftest
 
 def test_selftest_passes():
     r = run_cli("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
+    r = run_cli("selftest", "--json")
+    assert r.returncode == 0, r.stdout + r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["command"] == "selftest" and obj["failures"] == 0
+    assert len(obj["results"]) == 13
+    assert all(set(row) == {"check", "ok"} and row["ok"]
+               for row in obj["results"])
+
+
+# ------------------------------------------------------------------- docs
+
+def test_docs_name_every_subcommand():
+    from psm.cli import build_parser
+    subcommands = set(next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices)
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## CLI")[1].split("```")[1]
+    assert set(re.findall(r"^psm (\w+)", block, flags=re.M)) == subcommands
+    doc = (root / "docs" / "formats.md").read_text()
+    section = doc.split("## CLI outputs")[1].split("\n### ")[0]
+    listed = set(re.findall(r"^- `(\w+)`:", section, flags=re.M))
+    assert listed == subcommands

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from psm.emd import (EXACT_LIMIT, AuctionParams, default_backend, emd,
-                     emd_auction, emd_exact)
+from psm.emd import (EPS_SCALING, EXACT_LIMIT, AuctionParams, default_backend,
+                     emd, emd_auction, emd_exact)
 from psm.errors import (DistanceOverflow, EmptySet, InstanceTooLarge,
                         SizeMismatch)
 
@@ -230,6 +230,33 @@ def test_auction_flags_rounding_past_target():
     res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=1.0))
     assert 1.0 < achieved < 1.0 + 1e-15
     assert res.budget_relaxed is True
+
+
+def test_auction_runs_the_floor_phase_once(monkeypatch):
+    # once eps is clamped to the floor, that phase is the last; a value that
+    # fell by a hair must not rerun it at a hair lower eps. Near a target of
+    # 1 a phase at the floor can miss the target, and then the floor moves.
+    mod = importlib.import_module("psm.emd")
+    phase = mod._auction_phase
+    seen = []
+
+    def logged(cost, prices, owner, assigned_item, eps, deadline):
+        seen.append(eps)
+        return phase(cost, prices, owner, assigned_item, eps, deadline)
+
+    monkeypatch.setattr(mod, "_auction_phase", logged)
+    rng = np.random.default_rng(0)
+    for s in (16, 64, 256):
+        a, b = pair(rng, s)
+        seen.clear()
+        res, _, achieved = emd_auction(a, b)
+        assert all(eps <= EPS_SCALING * prev
+                   for prev, eps in zip(seen[:-2], seen[1:-1])), seen
+        assert achieved <= 0.01 and res.budget_relaxed is False
+    for s in range(2, 40, 3):
+        a, b = pair(rng, s)
+        res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=0.9))
+        assert achieved <= 0.9 and res.budget_relaxed is False
 
 
 def test_auction_deterministic():

@@ -244,6 +244,19 @@ def test_loss_trend_all_families_default_config():
         assert smooth[-1] < smooth[50], family
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: with the default "
+                   "lr0 and t_half the Chamfer corner_square run can "
+                   "oscillate with growing amplitude in its first 100 steps")
+def test_corner_square_cd_loss_falls_in_100_steps():
+    # last-tenth mean loss: 6.45 (seed 1000) and 30.5 (seed 1032), against
+    # first-tenth means of 2.33 and 2.01
+    spec = ShapeDistributionSpec("corner_square")
+    for seed in (1000, 1032):
+        _, trace = optimize_mean_shape(spec, SgdConfig(metric="cd", steps=100,
+                                                       seed=seed))
+        assert np.mean(trace[-10:]) <= np.mean(trace[:10]), seed
+
+
 def test_single_step_descends_fixed_shape():
     # line-search flavor: one step against one fixed shape lowers that
     # shape's loss at small learning rates, for both metrics
