@@ -1,14 +1,14 @@
 """Point-set metrics and shape-space tools.
 
 Public surface: distances (chamfer_distance, emd, emd_exact, emd_auction),
-spatial index (KdTree, build_kdtree), samplers (farthest_point_sample,
+spatial index (KdTree), samplers (farthest_point_sample,
 random_subsample, equalize), voxel path (splat, binarize, iou,
 grid_unit_scale), losses (batch_loss, mon_loss), the mean-shape optimizer
 (draw_shape, optimize_mean_shape, emit_plot), and text formats in psm.io.
 """
 
 from . import errors
-from .chamfer import KdTree, build_kdtree, chamfer_distance
+from .chamfer import KdTree, chamfer_distance
 from .core import (DistanceResult, RandomSource, as_points, bounding_box,
                    validate)
 from .emd import (Assignment, AuctionParams, emd, emd_auction, emd_exact)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "KdTree", "build_kdtree", "chamfer_distance",
+    "KdTree", "chamfer_distance",
     "DistanceResult", "RandomSource", "as_points", "bounding_box", "validate",
     "Assignment", "AuctionParams", "emd", "emd_auction", "emd_exact",
     "CandidateBundle", "batch_loss", "mon_loss",

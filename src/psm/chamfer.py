@@ -43,10 +43,9 @@ class KdTree:
     Where cKDTree's two nearest differ by more than rounding, the first is
     the nearest; otherwise every point in a ball just wider than the best
     distance is rescored exactly, and the lowest index wins ties.
-    leaf_size is cKDTree's leafsize.
     """
 
-    def __init__(self, points, leaf_size=16):
+    def __init__(self, points):
         pts = validate(points)
         if len(pts) == 0:
             raise EmptySet()
@@ -56,7 +55,7 @@ class KdTree:
         run = pts[order]
         first = np.r_[True, (run[1:] != run[:-1]).any(axis=1)]
         self.labels = order[first]
-        self.tree = cKDTree(run[first], leafsize=leaf_size)
+        self.tree = cKDTree(run[first])
 
     def query(self, points):
         """Exact nearest neighbors: (indices, squared distances)."""
@@ -83,15 +82,6 @@ class KdTree:
         d2 = _sqdist(q[rows], self.points[labels])
         d2min = np.minimum.reduceat(d2, starts)
         return np.minimum.reduceat(np.where(d2 == d2min[rows], labels, len(self.points)), starts)
-
-    def nearest_neighbor(self, point):
-        """Single-point convenience wrapper: (index, squared distance)."""
-        idx, d2 = self.query(np.asarray(point, dtype=np.float64).reshape(1, 3))
-        return int(idx[0]), float(d2[0])
-
-
-def build_kdtree(ps, leaf_size=16):
-    return KdTree(ps, leaf_size)
 
 
 def _nn_brute(q, pts, chunk=512):

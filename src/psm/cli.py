@@ -137,10 +137,9 @@ def _cmd_voxelize(args):
     origin = _parse_triple(args.origin, "--origin")
     g = splat(pts, args.dims, origin, args.cell,
               clamp_points=not args.no_clamp)
-    if not args.raw:
-        g = binarize(g, args.threshold)
-    psio.write_grid(g, args.out)
-    occupied = int(np.count_nonzero(g.values >= args.threshold))
+    b = binarize(g, args.threshold)  # --raw still counts occupied cells by it
+    psio.write_grid(g if args.raw else b, args.out)
+    occupied = int(np.count_nonzero(b.values))
     _emit(args, {"command": "voxelize", "dims": args.dims,
                  "occupied": occupied, "raw": args.raw, "out": args.out}, [])
     return 0
@@ -160,9 +159,12 @@ def _cmd_mon(args):
             raise ValueError("give either --bundle or positional paths, not both")
         with open(args.bundle) as fh:
             manifest = json.load(fh)
-        if not isinstance(manifest, dict) or "groundtruth" not in manifest \
-                or "candidates" not in manifest:
-            raise ValueError("bundle manifest needs 'groundtruth' and 'candidates'")
+        if not isinstance(manifest, dict) \
+                or not isinstance(manifest.get("groundtruth"), str) \
+                or not isinstance(manifest.get("candidates"), list) \
+                or not all(isinstance(c, str) for c in manifest["candidates"]):
+            raise ValueError("bundle manifest needs a 'groundtruth' path and "
+                             "a list of 'candidates' paths")
         # manifest paths resolve relative to the manifest's own directory
         base = os.path.dirname(os.path.abspath(args.bundle))
         gt_path = os.path.join(base, manifest["groundtruth"])
@@ -244,10 +246,11 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON object")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for mon and meanshape (default: "
-                             "PSM_THREADS or 1; 2 threads cost a Chamfer "
-                             "mean-shape step 7.5 ms of CPU, 1 thread 5 ms)")
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument("--threads", type=int, default=None,
+                          help="worker threads (default: PSM_THREADS or 1; "
+                               "2 threads cost a Chamfer mean-shape step "
+                               "7.5 ms of CPU, 1 thread 5 ms)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chamfer", parents=[common],
@@ -319,7 +322,7 @@ def build_parser():
     p.add_argument("b")
     p.set_defaults(func=_cmd_iou)
 
-    p = sub.add_parser("mon", parents=[common],
+    p = sub.add_parser("mon", parents=[common, threaded],
                        help="min-of-N loss over candidate clouds")
     p.add_argument("groundtruth", nargs="?")
     p.add_argument("candidates", nargs="*")
@@ -328,7 +331,7 @@ def build_parser():
                    help="JSON manifest with groundtruth/candidates/metric")
     p.set_defaults(func=_cmd_mon)
 
-    p = sub.add_parser("meanshape", parents=[common],
+    p = sub.add_parser("meanshape", parents=[common, threaded],
                        help="SGD mean shape of a shape distribution")
     p.add_argument("--spec", required=True, metavar="SPEC.json")
     p.add_argument("--metric", choices=["cd", "emd"], default="cd")

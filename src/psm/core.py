@@ -90,15 +90,6 @@ class RandomSource:
         return self.gen.random(size)
 
 
-def coerce_rng(rng):
-    """Accept a RandomSource, a numpy Generator, or a seed."""
-    if isinstance(rng, RandomSource):
-        return rng.gen
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return RandomSource(int(rng)).gen
-
-
 @dataclass
 class DistanceResult:
     """Scalar distance plus optional per-index gradients.

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .core import DistanceResult, check_span, validate
+from .core import DistanceResult, as_points, check_span, validate
 from .errors import EmptySet, InstanceTooLarge, SizeMismatch
 
 # Memory does not set this limit: the auction holds the same s x s cdist
@@ -44,7 +44,6 @@ class Assignment:
     """A bijection i -> perm[i] with its per-pair Euclidean costs."""
 
     perm: np.ndarray
-    total_cost: float
     per_pair_cost: np.ndarray
 
 
@@ -110,7 +109,7 @@ def emd_exact(a, b, want_grad=False):
     perm[rows] = cols
     per_pair = cost[np.arange(s), perm]
     value = float(np.sum(per_pair))
-    assignment = Assignment(perm, value, per_pair)
+    assignment = Assignment(perm, per_pair)
     if not want_grad:
         return DistanceResult(value, backend="exact"), assignment
     grad_a, grad_b = _grads_from_perm(a, b, perm)
@@ -185,7 +184,7 @@ def emd_auction(a, b, params=None, want_grad=False):
         if want_grad:
             result.grad_a = np.zeros_like(a)
             result.grad_b = np.zeros_like(b)
-        return result, Assignment(perm, 0.0, per_pair), 0.0
+        return result, Assignment(perm, per_pair), 0.0
 
     prices = np.zeros(s)
     eps = cmax / 2.0
@@ -227,13 +226,12 @@ def emd_auction(a, b, params=None, want_grad=False):
                             budget_relaxed=relaxed)
     if want_grad:
         result.grad_a, result.grad_b = _grads_from_perm(a, b, perm)
-    return result, Assignment(perm, value, per_pair), achieved
+    return result, Assignment(perm, per_pair), achieved
 
 
 def emd(a, b, want_grad=False):
     """Dispatch: exact solver up to s = EXACT_LIMIT, auction beyond."""
-    a, b = _check_pair(a, b)
-    if default_backend(len(a)) == "exact":
+    if default_backend(len(as_points(a))) == "exact":
         result, _ = emd_exact(a, b, want_grad)
     else:
         result, _, _ = emd_auction(a, b, want_grad=want_grad)

@@ -29,24 +29,19 @@ def _annotate(e, label):
     return e
 
 
-def batch_loss(pairs, metric="cd", threads=1):
-    """Sum of per-pair distances, accumulated in index order.
+def batch_loss(pairs, metric="cd"):
+    """Sum of per-pair distances, reduced by np.sum in index order.
 
-    Pairs may be evaluated concurrently (threads > 1); the reduction is
-    always in index order, so the value does not depend on the thread count.
-    Per-pair failures propagate with the pair index prepended.
+    Pairs are evaluated one after another on the caller's thread. Per-pair
+    failures propagate with the pair index prepended.
     """
-    pairs = list(pairs)
-
-    def one(item):
-        i, (pred, gt) = item
+    values = []
+    for i, (pred, gt) in enumerate(pairs):
         try:
-            return _distance(pred, gt, metric)
+            values.append(_distance(pred, gt, metric))
         except (ValueError, ArithmeticError) as e:
             raise _annotate(e, f"pair {i}")
-
-    values = np.array(ordered_map(one, enumerate(pairs), threads))
-    return float(np.sum(values)) if len(pairs) else 0.0
+    return float(np.sum(values))
 
 
 @dataclass

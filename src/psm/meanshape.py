@@ -16,12 +16,14 @@ ShapeDistributionSpec parameters.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chamfer import chamfer_distance
-from .core import RandomSource, coerce_rng, ordered_map, resolve_threads, validate
+from .core import RandomSource, ordered_map, resolve_threads, validate
 from .emd import emd
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
@@ -63,20 +65,31 @@ def _require(cond, message):
         raise InvalidParameter(message)
 
 
+def _require_number(v, key):
+    # JSON may also hold str, bool, null, NaN, Infinity or ints past float64
+    _require(isinstance(v, numbers.Real) and not isinstance(v, bool)
+             and abs(v) <= sys.float_info.max, f"{key} must be a finite number")
+
+
 def _check_xy(params, key):
     v = params[key]
     _require(isinstance(v, (list, tuple)) and len(v) == 2,
              f"{key} must be a 2-element [x, y] list")
+    for c in v:
+        _require_number(c, key)
     params[key] = [float(v[0]), float(v[1])]
 
 
 def _validate_params(family, params):
+    for key, default in FAMILY_DEFAULTS[family].items():
+        if isinstance(default, list):
+            _check_xy(params, key)
+        else:
+            _require_number(params[key], key)
     if family == "circle_radius":
-        _check_xy(params, "center")
         _require(params["r_min"] > 0, "r_min must be > 0")
         _require(params["r_max"] >= params["r_min"], "need r_min <= r_max")
     elif family == "spiky_arc":
-        _check_xy(params, "center")
         _require(params["radius"] > 0, "radius must be > 0")
         _require(params["theta_end_deg"] > params["theta_start_deg"],
                  "need theta_start_deg < theta_end_deg")
@@ -85,12 +98,9 @@ def _validate_params(family, params):
         _require(params["spike_height"] >= 0, "spike_height must be >= 0")
         _require(params["travel"] >= 0, "travel must be >= 0")
     elif family == "corner_square":
-        _check_xy(params, "center")
         for key in ("bar_width", "bar_height", "square_size"):
             _require(params[key] > 0, f"{key} must be > 0")
     elif family == "bar_disk":
-        _check_xy(params, "center")
-        _check_xy(params, "disk_center")
         for key in ("bar_width", "bar_height", "disk_radius"):
             _require(params[key] > 0, f"{key} must be > 0")
         _require(0.0 <= params["p_disk"] <= 1.0, "p_disk must lie in [0, 1]")
@@ -111,6 +121,7 @@ class ShapeDistributionSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require(isinstance(self.family, str), "family must be a string")
         if self.family not in FAMILY_DEFAULTS:
             raise UnknownFamily(self.family, FAMILY_DEFAULTS)
         defaults = FAMILY_DEFAULTS[self.family]
@@ -121,9 +132,11 @@ class ShapeDistributionSpec:
         merged = {**defaults, **self.params}
         _validate_params(self.family, merged)
         self.params = merged
+        _require_number(self.n_points, "n_points")
         self.n_points = int(self.n_points)
         if self.n_points < 1:
             raise InvalidParameter("n_points must be >= 1")
+        _require_number(self.seed, "seed")
         self.seed = int(self.seed)
 
 
@@ -233,22 +246,22 @@ def corner_regions(spec):
 def draw_shape(spec, rng):
     """One i.i.d. sample from the shape distribution: (n_points, 3) at z=0.
 
-    The stream drives only the hidden variables; point placement along the
-    resulting outline is the deterministic equal-arclength grid.
+    rng is a RandomSource or a numpy Generator; it drives only the hidden
+    variables, and point placement along the resulting outline is the
+    deterministic equal-arclength grid.
     """
-    gen = coerce_rng(rng)
     p = spec.params
     if spec.family == "circle_radius":
-        r = gen.uniform(p["r_min"], p["r_max"])
+        r = rng.uniform(p["r_min"], p["r_max"])
         pieces = [("circle", p["center"], r)]
     elif spec.family == "spiky_arc":
-        t = gen.uniform(0.0, p["travel"])
+        t = rng.uniform(0.0, p["travel"])
         center = np.asarray(p["center"]) + t
         verts = _crown_vertices(center, p["radius"], p["theta_start_deg"],
                                 p["theta_end_deg"], p["n_spikes"], p["spike_height"])
         pieces = [("poly", verts, False)]
     elif spec.family == "corner_square":
-        corner = int(gen.integers(4))
+        corner = int(rng.integers(4))
         box = corner_regions(spec)[corner]
         cx, cy = p["center"]
         pieces = [
@@ -259,7 +272,7 @@ def draw_shape(spec, rng):
     elif spec.family == "bar_disk":
         cx, cy = p["center"]
         pieces = [("poly", _rect(cx, cy, p["bar_width"], p["bar_height"]), True)]
-        if gen.random() < p["p_disk"]:
+        if rng.random() < p["p_disk"]:
             pieces.append(("circle", p["disk_center"], p["disk_radius"]))
     else:
         raise UnknownFamily(spec.family, FAMILY_DEFAULTS)

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from psm.chamfer import KdTree, build_kdtree, chamfer_distance
+from psm.chamfer import KdTree, chamfer_distance
 from psm.errors import DistanceOverflow, EmptySet, NonFiniteCoordinate
 
 
@@ -216,16 +216,15 @@ def test_want_grad_false_leaves_gradients_none():
 # ---------------------------------------------------------------- kd-tree
 
 def test_kdtree_singleton():
-    t = build_kdtree([(1.0, 2.0, 3.0)])
-    idx, d2 = t.nearest_neighbor((0, 0, 0))
-    assert idx == 0
-    assert d2 == pytest.approx(14.0)
+    idx, d2 = KdTree([(1.0, 2.0, 3.0)]).query([(0.0, 0.0, 0.0)])
+    assert idx.tolist() == [0]
+    assert d2.tolist() == [14.0]
 
 
 def test_kdtree_matches_linear_scan():
     rng = np.random.default_rng(19)
     pts = rng.random((1000, 3))
-    tree = build_kdtree(pts)
+    tree = KdTree(pts)
     queries = rng.random((100, 3))
     idx, d2 = tree.query(queries)
     for qi in range(len(queries)):
@@ -244,24 +243,13 @@ def test_kdtree_degenerate_clouds(shape):
     else:
         base = rng.random((40, 3))
         pts = np.repeat(base, 5, axis=0)
-    tree = build_kdtree(pts)
+    tree = KdTree(pts)
     queries = rng.random((60, 3))
     idx, d2 = tree.query(queries)
     for qi in range(len(queries)):
         want_j, want_d = nn_loop(queries[qi], pts)
         assert idx[qi] == want_j  # ties must resolve to the lowest index
         assert d2[qi] == pytest.approx(want_d, rel=1e-12)
-
-
-@pytest.mark.parametrize("leaf_size", [1, 2, 7, 64])
-def test_kdtree_leaf_size_variants_agree(leaf_size):
-    rng = np.random.default_rng(21)
-    pts = rng.random((257, 3))
-    queries = rng.random((40, 3))
-    idx, d2 = KdTree(pts, leaf_size=leaf_size).query(queries)
-    ref_idx, ref_d2 = KdTree(pts, leaf_size=16).query(queries)
-    assert np.array_equal(idx, ref_idx)
-    assert np.array_equal(d2, ref_d2)
 
 
 def test_backends_agree_bitwise():
@@ -285,7 +273,7 @@ def test_kdtree_many_exact_ties():
     pts = np.array(sorted(shell), dtype=np.float64)[rng.permutation(len(shell))]
     pts = np.vstack([pts, 3.0 * pts])
     queries = np.array([(0.0, 0, 0), (0, 0, 0.25), (0.5, 0.5, 0.5)])
-    idx, d2 = build_kdtree(pts).query(queries)
+    idx, d2 = KdTree(pts).query(queries)
     for qi in range(len(queries)):
         want_j, want_d = nn_loop(queries[qi], pts)
         assert idx[qi] == want_j
@@ -300,7 +288,7 @@ def test_empty_inputs_rejected():
     with pytest.raises(EmptySet):
         chamfer_distance([(0, 0, 0)], [])
     with pytest.raises(EmptySet):
-        build_kdtree([])
+        KdTree([])
 
 
 def test_nonfinite_inputs_rejected():
@@ -319,7 +307,7 @@ def test_overflowing_distances_rejected(backend):
     with pytest.raises(DistanceOverflow):
         chamfer_distance([(0, 0, 0), (0, 1e200, 0)], [(0, 0, 0)], backend=backend)
     with pytest.raises(DistanceOverflow):
-        build_kdtree([(1e200, 0, 0)]).query([(-1e200, 0, 0)])
+        KdTree([(1e200, 0, 0)]).query([(-1e200, 0, 0)])
     # large magnitudes are fine while the points stay close
     far = np.array([(1e200, 0, 0), (1e200, 1e150, 0)])
     assert chamfer_distance(far, far[::-1], backend=backend).value == 0.0

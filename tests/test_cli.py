@@ -189,6 +189,15 @@ def test_voxelize_raw_keeps_fractions(tmp_path):
     assert ((vals > 0) & (vals < 1)).any()
 
 
+@pytest.mark.parametrize("raw", [False, True])
+def test_voxelize_threshold_checked_in_both_modes(tmp_path, raw):
+    cloud = write(tmp_path / "c.xyz", "1.5 1.5 1.5\n")
+    r = run_cli("voxelize", cloud, "--dims", "4", "--threshold", "2",
+                *(["--raw"] if raw else []), "-o", str(tmp_path / "g.psgrid"))
+    assert r.returncode == 1
+    assert r.stderr == "error: threshold 2.0 not in [0, 1]\n"
+
+
 def test_voxelize_oversized_grid_is_domain_error(tmp_path):
     # 100000^3 float64 cells exceed the address space, so the allocation
     # fails at once without touching memory
@@ -229,6 +238,22 @@ def test_unknown_subcommand_usage_error():
     assert r.returncode == 2
 
 
+def test_only_mon_and_meanshape_take_threads(capsys):
+    from psm.cli import build_parser
+    argv = {"chamfer": ["a", "b"], "emd": ["a", "b"],
+            "fps": ["a", "--k", "1", "-o", "o"], "voxelize": ["a", "-o", "o"],
+            "iou": ["a", "b"], "mon": ["gt", "c"],
+            "meanshape": ["--spec", "s"], "selftest": []}
+    for command, rest in argv.items():
+        line = [command, *rest, "--threads", "7"]
+        if command in ("mon", "meanshape"):
+            assert build_parser().parse_args(line).threads == 7
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(line)
+            assert exc.value.code == 2, command
+
+
 # -------------------------------------------------------------------- mon
 
 @pytest.fixture
@@ -267,6 +292,18 @@ def test_mon_bundle_conflicts_with_positional(mon_files, tmp_path):
     r = run_cli("mon", gt, c5, "--bundle", str(manifest))
     assert r.returncode == 1
     assert r.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("fields", [{"groundtruth": 5, "candidates": ["c5.xyz"]},
+                                    {"groundtruth": "gt.xyz", "candidates": 7},
+                                    {"groundtruth": "gt.xyz", "candidates": "c5.xyz"}])
+def test_mon_bundle_field_types(mon_files, tmp_path, fields):
+    manifest = tmp_path / "bundle.json"
+    manifest.write_text(json.dumps(fields))
+    r = run_cli("mon", "--bundle", str(manifest))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: bundle manifest needs")
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_mon_respects_threads_env(mon_files):
@@ -335,6 +372,21 @@ def test_meanshape_bad_spec_file(tmp_path):
     r = run_cli("meanshape", "--spec", str(path), "--steps", "1")
     assert r.returncode == 1
     assert r.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "circle_radius", "r_min": "a"}, "r_min"),
+    ({"family": ["x"]}, "family"),
+    ({"family": "spiky_arc", "n_spikes": None}, "n_spikes"),
+    ({"family": "circle_radius", "r_max": float("inf")}, "r_max"),
+    ({"family": "circle_radius", "center": [0.5, "nan"]}, "center"),
+])
+def test_meanshape_spec_value_types(tmp_path, spec, key):
+    r = run_cli("meanshape", "--spec", spec_file(tmp_path, **spec),
+                "--steps", "1", "--batch", "1")
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {key} must be")
+    assert len(r.stderr.splitlines()) == 1
 
 
 # --------------------------------------------------------------- selftest

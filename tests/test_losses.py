@@ -46,13 +46,6 @@ def test_batch_reorder_invariance():
     assert batch_loss(shuffled, metric="cd") == pytest.approx(v, rel=1e-10)
 
 
-def test_batch_thread_count_invariant():
-    rng = np.random.default_rng(73)
-    pairs = [(cloud(rng, 15), cloud(rng, 15)) for _ in range(8)]
-    assert batch_loss(pairs, metric="emd", threads=1) \
-        == batch_loss(pairs, metric="emd", threads=4)
-
-
 def test_batch_error_names_the_pair():
     rng = np.random.default_rng(74)
     good = (cloud(rng, 5), cloud(rng, 5))
