@@ -127,6 +127,26 @@ def test_draw_bytes_pinned(family):
     assert digest.hexdigest() == DRAW_DIGESTS[family]
 
 
+# SHA-256 over x.tobytes() + trace.tobytes() of a 30-step run: 64 points,
+# batch 8, seed 41, default step size
+TRAJECTORY_DIGESTS = {
+    ("bar_disk", "cd"): "e8a2ba841887349fda6f35223bab8846eb87ccf601c7bc8ec04a2a6b108b6806",
+    ("circle_radius", "cd"): "765e325ea870074db50fd4a974d5c0d9e71e04730bf7077349f213ff234fdcba",
+    ("corner_square", "cd"): "0a0d8b8c92040aac25b12ed7e3fd30aa861d19ed60ce4057a5e760c15817e5c4",
+    ("spiky_arc", "cd"): "adaff1217b482a2a963b034c3c20f3836e3be6c9d4f0002963d7d4456f0092a2",
+    ("circle_radius", "emd"): "836a444c49ca6679eb73f1a11a0d60affab95a3195065fe9ae0583ae8ee93411",
+}
+
+
+@pytest.mark.parametrize("family,metric", sorted(TRAJECTORY_DIGESTS))
+def test_trajectory_bytes_pinned(family, metric):
+    spec = ShapeDistributionSpec(family, n_points=64)
+    x, trace = optimize_mean_shape(
+        spec, SgdConfig(metric=metric, steps=30, batch=8, seed=41))
+    digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
+    assert digest == TRAJECTORY_DIGESTS[family, metric]
+
+
 def test_corner_choice_frequency():
     spec = ShapeDistributionSpec("corner_square", n_points=64)
     boxes = corner_regions(spec)
