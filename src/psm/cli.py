@@ -248,9 +248,7 @@ def build_parser():
                         help="emit one machine-readable JSON object")
     threaded = argparse.ArgumentParser(add_help=False)
     threaded.add_argument("--threads", type=int, default=None,
-                          help="worker threads (default: PSM_THREADS or 1; "
-                               "2 threads cost a Chamfer mean-shape step "
-                               "7.5 ms of CPU, 1 thread 5 ms)")
+                          help="worker threads (default: PSM_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chamfer", parents=[common],

@@ -114,9 +114,8 @@ class DistanceResult:
 def resolve_threads(threads=None):
     """Thread count: explicit argument, then PSM_THREADS, then 1.
 
-    Serial by default: the mapped calls are short, and on a 2-vCPU x86 guest
-    a Chamfer mean-shape step took about 7.5 ms of CPU on 2 threads against
-    5 ms on 1, with the same trajectory.
+    Serial by default: the mapped calls are too short for a pool to pay off
+    (docs/formats.md, Environment, has the measurement).
     """
     if threads is not None:
         return max(1, int(threads))
@@ -138,3 +137,21 @@ def ordered_map(fn, items, threads=1):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
+
+
+def distinct(arrays):
+    """Dedupe plan for arrays compared by dtype, shape and exact bytes.
+
+    Returns (firsts, slot): firsts holds the index of each distinct array's
+    first occurrence, in increasing order, and arrays[i] equals
+    arrays[firsts[slot[i]]]. A caller evaluates firsts once each and reads
+    result slot[i] for item i.
+    """
+    seen = {}
+    firsts, slot = [], []
+    for i, a in enumerate(arrays):
+        k = seen.setdefault((a.dtype.str, a.shape, a.tobytes()), len(firsts))
+        if k == len(firsts):
+            firsts.append(i)
+        slot.append(k)
+    return firsts, slot

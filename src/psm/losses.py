@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chamfer import chamfer_distance
-from .core import as_points, ordered_map
+from .core import as_points, distinct, ordered_map
 from .emd import emd
 from .errors import EmptySet, SizeMismatch
 
@@ -69,17 +69,19 @@ class CandidateBundle:
 def mon_loss(bundle, threads=1):
     """Minimum candidate distance and the first index attaining it.
 
-    Candidates evaluate independently (optionally in parallel); the argmin
-    scan runs in candidate order, so ties resolve to the lowest index.
+    Candidates evaluate independently (optionally in parallel), and
+    candidates with identical bytes only once, at their first index; the
+    argmin scan runs in candidate order, so ties resolve to the lowest index.
     """
 
-    def one(item):
-        j, cand = item
+    def one(j):
         try:
-            return _distance(cand, bundle.groundtruth, bundle.metric)
+            return _distance(bundle.candidates[j], bundle.groundtruth, bundle.metric)
         except (ValueError, ArithmeticError) as e:
             raise _annotate(e, f"candidate {j}")
 
-    values = ordered_map(one, enumerate(bundle.candidates), threads)
-    best_j = int(np.argmin(values))
-    return float(values[best_j]), best_j
+    firsts, _ = distinct(bundle.candidates)
+    values = ordered_map(one, firsts, threads)
+    # firsts rises and a repeat has its first's value, so this is the lowest index
+    best = int(np.argmin(values))
+    return float(values[best]), firsts[best]

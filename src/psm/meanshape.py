@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chamfer import chamfer_distance
-from .core import RandomSource, ordered_map, resolve_threads, validate
+from .core import (RandomSource, distinct, ordered_map, resolve_threads,
+                   validate)
 from .emd import emd
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
@@ -138,6 +139,7 @@ class ShapeDistributionSpec:
             raise InvalidParameter("n_points must be >= 1")
         _require_number(self.seed, "seed")
         self.seed = int(self.seed)
+        _check_outline(self)
 
 
 def spec_from_dict(data):
@@ -196,7 +198,8 @@ def _sample_pieces(pieces, n):
         if nseg:
             lengths = np.concatenate([seg_len, lengths])
     total = lengths.sum()
-    _require(total > 0, "shape outline has zero length")
+    # a NaN length passes on to NaN points, which _check_outline rejects
+    _require(lengths.any(), "shape outline has zero length")
     cum = np.cumsum(lengths)
     t = (np.arange(n) + 0.5) * (total / n)
     piece_idx = np.minimum(np.searchsorted(cum, t, side="right"), len(lengths) - 1)
@@ -243,6 +246,68 @@ def corner_regions(spec):
     ]
 
 
+def _hidden(spec, rng):
+    """Draw the hidden variable that fixes one shape's outline."""
+    p = spec.params
+    if spec.family == "circle_radius":
+        return rng.uniform(p["r_min"], p["r_max"])  # radius
+    if spec.family == "spiky_arc":
+        return rng.uniform(0.0, p["travel"])  # diagonal offset
+    if spec.family == "corner_square":
+        return int(rng.integers(4))  # index into corner_regions
+    if spec.family == "bar_disk":
+        return rng.random() < p["p_disk"]  # disk present
+    raise UnknownFamily(spec.family, FAMILY_DEFAULTS)
+
+
+def _extremes(spec):
+    # hidden values whose outlines bound those of every other draw
+    p = spec.params
+    if spec.family == "circle_radius":
+        return p["r_min"], p["r_max"]
+    if spec.family == "spiky_arc":
+        return 0.0, p["travel"]
+    return range(4) if spec.family == "corner_square" else (False, True)
+
+
+def _outline(spec, hidden):
+    """The outline pieces of the draw with this hidden variable."""
+    p = spec.params
+    if spec.family == "circle_radius":
+        return [("circle", p["center"], hidden)]
+    if spec.family == "spiky_arc":
+        center = np.asarray(p["center"]) + hidden
+        verts = _crown_vertices(center, p["radius"], p["theta_start_deg"],
+                                p["theta_end_deg"], p["n_spikes"], p["spike_height"])
+        return [("poly", verts, False)]
+    cx, cy = p["center"]
+    pieces = [("poly", _rect(cx, cy, p["bar_width"], p["bar_height"]), True)]
+    if spec.family == "corner_square":
+        box = corner_regions(spec)[hidden]
+        pieces.append(("poly", _rect((box[0] + box[2]) / 2, (box[1] + box[3]) / 2,
+                                     box[2] - box[0], box[3] - box[1]), True))
+    elif hidden:
+        pieces.append(("circle", p["disk_center"], p["disk_radius"]))
+    return pieces
+
+
+def _check_outline(spec):
+    """Reject parameters whose outline length or coordinates overflow float64.
+
+    The key named is the largest-magnitude length parameter, the one that
+    drove the overflow. Overflow is checked on the extreme draws, silently.
+    """
+    with np.errstate(all="ignore"):
+        finite = all(np.isfinite(_sample_pieces(_outline(spec, h), spec.n_points)).all()
+                     for h in _extremes(spec))
+    if not finite:
+        lengths = {k: np.abs(v).max() for k, v in spec.params.items()
+                   if k not in ("theta_start_deg", "theta_end_deg", "n_spikes", "p_disk")}
+        key = max(lengths, key=lengths.get)
+        raise InvalidParameter(f"{key} is too large: the {spec.family} outline "
+                               "overflows float64")
+
+
 def draw_shape(spec, rng):
     """One i.i.d. sample from the shape distribution: (n_points, 3) at z=0.
 
@@ -250,33 +315,7 @@ def draw_shape(spec, rng):
     variables, and point placement along the resulting outline is the
     deterministic equal-arclength grid.
     """
-    p = spec.params
-    if spec.family == "circle_radius":
-        r = rng.uniform(p["r_min"], p["r_max"])
-        pieces = [("circle", p["center"], r)]
-    elif spec.family == "spiky_arc":
-        t = rng.uniform(0.0, p["travel"])
-        center = np.asarray(p["center"]) + t
-        verts = _crown_vertices(center, p["radius"], p["theta_start_deg"],
-                                p["theta_end_deg"], p["n_spikes"], p["spike_height"])
-        pieces = [("poly", verts, False)]
-    elif spec.family == "corner_square":
-        corner = int(rng.integers(4))
-        box = corner_regions(spec)[corner]
-        cx, cy = p["center"]
-        pieces = [
-            ("poly", _rect(cx, cy, p["bar_width"], p["bar_height"]), True),
-            ("poly", _rect((box[0] + box[2]) / 2, (box[1] + box[3]) / 2,
-                           box[2] - box[0], box[3] - box[1]), True),
-        ]
-    elif spec.family == "bar_disk":
-        cx, cy = p["center"]
-        pieces = [("poly", _rect(cx, cy, p["bar_width"], p["bar_height"]), True)]
-        if rng.random() < p["p_disk"]:
-            pieces.append(("circle", p["disk_center"], p["disk_radius"]))
-    else:
-        raise UnknownFamily(spec.family, FAMILY_DEFAULTS)
-    return _sample_pieces(pieces, spec.n_points)
+    return _sample_pieces(_outline(spec, _hidden(spec, rng)), spec.n_points)
 
 
 @dataclass
@@ -320,12 +359,12 @@ def optimize_mean_shape(spec, cfg, threads=None):
     records the minibatch mean distance per step. Divergence past 1e6 times
     the initial loss aborts.
 
-    Per-shape gradient evaluations run on the caller's thread unless
-    threads (or PSM_THREADS) asks for a pool. Serial is the default: with
-    8 Chamfer pairs of 256 points, a 2-worker pool built per step raised a
-    step's CPU cost from about 5 to 7.5 ms. Shapes are drawn serially
-    and the batch sum is reduced in draw order, so the trajectory does not
-    depend on the worker count.
+    Draws with identical bytes (corner_square has 4 outlines, bar_disk 2)
+    are evaluated once per step and their result reused; the batch sum
+    still adds one term per draw, in draw order. Evaluations run on the
+    caller's thread unless threads (or PSM_THREADS) asks for a pool. Shapes
+    are drawn serially, so the trajectory does not depend on the worker
+    count.
     """
     cfg.check()
     m = spec.n_points if cfg.m is None else int(cfg.m)
@@ -340,12 +379,14 @@ def optimize_mean_shape(spec, cfg, threads=None):
     for t in range(cfg.steps):
         lr = cfg.lr0 / (1.0 + t / cfg.t_half)
         shapes = [draw_shape(spec, draw_rng) for _ in range(cfg.batch)]
+        firsts, slot = distinct(shapes)
         cur = x
         results = ordered_map(lambda s: _loss_and_grad(cur, s, cfg.metric),
-                              shapes, threads=nworkers)
+                              [shapes[i] for i in firsts], threads=nworkers)
         loss = 0.0
         grad = np.zeros_like(x)
-        for value, g in results:
+        for k in slot:
+            value, g = results[k]
             loss += value
             grad += g
         loss /= cfg.batch

@@ -389,6 +389,20 @@ def test_meanshape_spec_value_types(tmp_path, spec, key):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "circle_radius", "r_max": 1e308}, "r_max"),
+    ({"family": "spiky_arc", "spike_height": 1e300}, "spike_height"),
+    ({"family": "corner_square", "bar_width": 1e308}, "bar_width"),
+])
+def test_meanshape_spec_outline_overflow(tmp_path, spec, key):
+    # finite values whose outline length or coordinates overflow float64
+    r = run_cli("meanshape", "--spec", spec_file(tmp_path, **spec),
+                "--steps", "2", "--batch", "1")
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {key} is too large")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # --------------------------------------------------------------- selftest
 
 def test_selftest_passes():

@@ -5,7 +5,7 @@ import pytest
 
 from psm.chamfer import chamfer_distance
 from psm.emd import emd
-from psm.errors import SizeMismatch
+from psm.errors import DistanceOverflow, SizeMismatch
 from psm.losses import CandidateBundle, batch_loss, mon_loss
 
 
@@ -86,6 +86,28 @@ def test_mon_tie_takes_lowest_index():
     c = np.array([(2.0, 0, 0)])
     value, idx = mon_loss(CandidateBundle([c, c.copy()], gt, metric="cd"))
     assert idx == 0
+
+
+def test_mon_evaluates_identical_candidates_once(monkeypatch):
+    import psm.losses
+    rng = np.random.default_rng(81)
+    gt, a, b = cloud(rng, 8), cloud(rng, 8), cloud(rng, 8)
+    calls = []
+    distance = psm.losses._distance
+    monkeypatch.setattr(psm.losses, "_distance",
+                        lambda p, g, m: calls.append(p) or distance(p, g, m))
+    cands = [a, b.copy(), a.copy(), b, a.copy()]
+    value, idx = mon_loss(CandidateBundle(cands, gt, metric="cd"))
+    assert len(calls) == 2 and calls[0] is cands[0] and calls[1] is cands[1]
+    best = min(range(2), key=lambda j: chamfer_distance(cands[j], gt).value)
+    assert idx == best and value == chamfer_distance(cands[best], gt).value
+
+
+def test_mon_failure_names_first_index():
+    gt = np.zeros((2, 3))
+    bad = np.full((2, 3), 1e200)  # squared distances overflow
+    with pytest.raises(DistanceOverflow, match="^candidate 1: "):
+        mon_loss(CandidateBundle([gt.copy(), bad, bad.copy()], gt, metric="cd"))
 
 
 def test_mon_monotone_under_appends():

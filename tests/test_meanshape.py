@@ -219,12 +219,34 @@ def test_seed_determinism_bitwise():
 
 
 def test_trajectory_independent_of_thread_count():
-    spec = ShapeDistributionSpec("circle_radius", n_points=24)
-    cfg = SgdConfig(metric="emd", steps=8, batch=4, seed=6)
-    x1, t1 = optimize_mean_shape(spec, cfg, threads=1)
-    x2, t2 = optimize_mean_shape(spec, cfg, threads=3)
-    assert np.array_equal(x1, x2)
-    assert np.array_equal(t1, t2)
+    # corner_square repeats draws, so fewer evaluations than draws reach the pool
+    for family, metric in (("circle_radius", "emd"), ("corner_square", "cd")):
+        spec = ShapeDistributionSpec(family, n_points=24)
+        cfg = SgdConfig(metric=metric, steps=8, batch=4, seed=6)
+        x1, t1 = optimize_mean_shape(spec, cfg, threads=1)
+        x2, t2 = optimize_mean_shape(spec, cfg, threads=3)
+        assert np.array_equal(x1, x2), family
+        assert np.array_equal(t1, t2), family
+
+
+@pytest.mark.parametrize("family,params,calls_per_step", [
+    ("corner_square", {}, range(1, 5)),  # 4 outlines
+    ("bar_disk", {}, range(1, 3)),  # disk present or absent
+    ("circle_radius", {}, [8]),
+    ("circle_radius", {"r_min": 0.3, "r_max": 0.3}, [1]),
+])
+def test_identical_draws_evaluated_once_per_step(monkeypatch, family, params,
+                                                 calls_per_step):
+    import psm.meanshape
+    calls = []
+    loss_and_grad = psm.meanshape._loss_and_grad
+    monkeypatch.setattr(psm.meanshape, "_loss_and_grad",
+                        lambda x, s, m: calls.append(s) or loss_and_grad(x, s, m))
+    spec = ShapeDistributionSpec(family, n_points=32, params=params)
+    for seed in range(5):
+        calls.clear()
+        optimize_mean_shape(spec, SgdConfig(steps=1, batch=8, seed=seed))
+        assert len(calls) in calls_per_step
 
 
 def test_degenerate_distribution_converges_cd():
