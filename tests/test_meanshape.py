@@ -131,9 +131,12 @@ def test_draw_bytes_pinned(family):
 # batch 8, seed 41, default step size
 TRAJECTORY_DIGESTS = {
     ("bar_disk", "cd"): "e8a2ba841887349fda6f35223bab8846eb87ccf601c7bc8ec04a2a6b108b6806",
+    ("bar_disk", "emd"): "aec90dc2d2902cbc0f0b04c8806000cc121858e7b83a4a71ed04367c9be68505",
     ("circle_radius", "cd"): "765e325ea870074db50fd4a974d5c0d9e71e04730bf7077349f213ff234fdcba",
     ("corner_square", "cd"): "0a0d8b8c92040aac25b12ed7e3fd30aa861d19ed60ce4057a5e760c15817e5c4",
+    ("corner_square", "emd"): "f631c7b9b12ba2209eb1d3094deb2406b4525d1c97389e22b7fcc21f8b395c24",
     ("spiky_arc", "cd"): "adaff1217b482a2a963b034c3c20f3836e3be6c9d4f0002963d7d4456f0092a2",
+    ("spiky_arc", "emd"): "b0ffad26b9ca74b37bb0750f25ec7a52919f85466be5ae93a6b96d8fb3651ab0",
     ("circle_radius", "emd"): "836a444c49ca6679eb73f1a11a0d60affab95a3195065fe9ae0583ae8ee93411",
 }
 
