@@ -6,7 +6,10 @@ files stay human-readable. All parsers report 1-based line numbers.
 """
 
 import json
+import os
+import stat
 from io import StringIO
+from itertools import islice
 
 import numpy as np
 
@@ -16,6 +19,10 @@ from .meanshape import spec_from_dict
 from .voxel import OccupancyGrid
 
 GRID_HEADER = "PSGRID 1"
+# characters of grid body lines parsed at a time: 32^3 values of at most 23
+# characters plus a separator each, so a 32^3 grid is one block and a larger
+# one never holds all its tokens at once
+GRID_BLOCK_CHARS = 32 ** 3 * 24
 
 
 def fmt_float(x):
@@ -101,8 +108,14 @@ def read_grid(path):
     [0, 1], z fastest and x slowest.
     """
     with open(path) as fh:
-        lines = fh.read().split("\n", 4)  # four header lines, then the values
-    if not lines or lines[0] != GRID_HEADER:
+        dx, origin, h = _grid_header("".join(islice(fh, 4)).split("\n"))
+        values = _grid_body(fh, dx ** 3)
+    return OccupancyGrid(dx, origin, h, values.reshape(dx, dx, dx))
+
+
+def _grid_header(lines):
+    """(dims, origin, cell size) from the file split at its first 4 newlines."""
+    if lines[0] != GRID_HEADER:
         raise ParseError(1, f"expected header {GRID_HEADER!r}")
     if len(lines) < 4:
         raise ParseError(len(lines), "truncated grid file")
@@ -127,30 +140,49 @@ def read_grid(path):
     h = _parse_floats(size_tokens, 4)[0]
     if not h > 0:
         raise ParseError(4, "cell size must be > 0")
-    values = _grid_values(lines[4] if len(lines) > 4 else "")
-    expected = dx ** 3
-    if len(values) != expected:
-        raise DimensionMismatch(f"expected {expected} values, got {len(values)}")
-    grid = values.reshape(dx, dx, dx)
-    return OccupancyGrid(dx, origin, h, grid)
+    return dx, origin, h
 
 
-def _grid_values(body):
-    """Grid values in one numpy call, each token through float(); a bad token
-    or a value outside [0, 1] goes to the line parser to report its line."""
+def _grid_body(fh, expected):
+    """The values after the header, parsed GRID_BLOCK_CHARS at a time into
+    one preallocated array; any count but `expected` is refused."""
+    # each value takes a character and a separator, so a larger count than
+    # the file can hold is not allocated; the count check below refuses it
+    st = os.fstat(fh.fileno())
+    room = st.st_size // 2 + 1 if stat.S_ISREG(st.st_mode) else expected
+    values = np.empty(min(expected, room))
+    count = 0
+    lineno = 5  # the body starts on file line 5
+    while block := fh.readlines(GRID_BLOCK_CHARS):
+        v = _grid_values(block, lineno)
+        if count + len(v) <= len(values):
+            values[count:count + len(v)] = v
+        count += len(v)
+        lineno += len(block)
+        del block, v  # free this block before the next is read
+    if count != expected:
+        raise DimensionMismatch(f"expected {expected} values, got {count}")
+    return values
+
+
+def _grid_values(lines, lineno):
+    """Values of body lines, the first being file line lineno, each token
+    through float() into one array; a bad token or a value outside [0, 1]
+    goes to the line parser to report its line."""
+    tokens = " ".join(lines).split()
     try:
-        values = np.array(body.split(), dtype=np.float64)
-        if ((values >= 0.0) & (values <= 1.0)).all():
-            return values
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        if values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0:
+            return values  # a NaN fails both comparisons
     except ValueError:
         pass
-    return _grid_values_lines(body)
+    return _grid_values_lines(lines, lineno)
 
 
-def _grid_values_lines(body):
+def _grid_values_lines(lines, lineno):
     """Line-by-line reference parser behind _grid_values."""
     values = []
-    for lineno, line in enumerate(body.split("\n"), start=5):
+    for lineno, line in enumerate(lines, start=lineno):
         for v in _parse_floats(line.split(), lineno):
             if not 0.0 <= v <= 1.0:
                 raise ParseError(lineno, f"value {v!r} outside [0, 1]")

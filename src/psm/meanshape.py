@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chamfer import chamfer_distance
-from .core import (RandomSource, distinct, ordered_map, resolve_threads,
-                   validate)
+from .core import RandomSource, ordered_map, resolve_threads, validate
 from .emd import emd
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
@@ -72,6 +71,13 @@ def _require_number(v, key):
              and abs(v) <= sys.float_info.max, f"{key} must be a finite number")
 
 
+def _require_count(n, key, row_bytes):
+    # numpy refuses an array past the address space with a message that
+    # names no key, and tries to allocate anything smaller
+    _require(n * row_bytes <= np.iinfo(np.intp).max,
+             f"{key} is too large: the outline arrays exceed the address space")
+
+
 def _check_xy(params, key):
     v = params[key]
     _require(isinstance(v, (list, tuple)) and len(v) == 2,
@@ -96,6 +102,7 @@ def _validate_params(family, params):
                  "need theta_start_deg < theta_end_deg")
         _require(int(params["n_spikes"]) >= 1, "n_spikes must be >= 1")
         params["n_spikes"] = int(params["n_spikes"])
+        _require_count(2 * params["n_spikes"] + 1, "n_spikes", 16)  # (x, y) vertices
         _require(params["spike_height"] >= 0, "spike_height must be >= 0")
         _require(params["travel"] >= 0, "travel must be >= 0")
     elif family == "corner_square":
@@ -137,6 +144,7 @@ class ShapeDistributionSpec:
         self.n_points = int(self.n_points)
         if self.n_points < 1:
             raise InvalidParameter("n_points must be >= 1")
+        _require_count(self.n_points, "n_points", 24)  # (x, y, z) points
         _require_number(self.seed, "seed")
         self.seed = int(self.seed)
         _check_outline(self)
@@ -261,7 +269,10 @@ def _hidden(spec, rng):
 
 
 def _extremes(spec):
-    # hidden values whose outlines bound those of every other draw
+    """Hidden values whose outlines bound those of every other draw.
+
+    For corner_square and bar_disk this is the whole support.
+    """
     p = spec.params
     if spec.family == "circle_radius":
         return p["r_min"], p["r_max"]
@@ -291,6 +302,11 @@ def _outline(spec, hidden):
     return pieces
 
 
+def _points(spec, hidden):
+    """The n_points samples of the outline this hidden variable fixes."""
+    return _sample_pieces(_outline(spec, hidden), spec.n_points)
+
+
 def _check_outline(spec):
     """Reject parameters whose outline length or coordinates overflow float64.
 
@@ -298,8 +314,7 @@ def _check_outline(spec):
     drove the overflow. Overflow is checked on the extreme draws, silently.
     """
     with np.errstate(all="ignore"):
-        finite = all(np.isfinite(_sample_pieces(_outline(spec, h), spec.n_points)).all()
-                     for h in _extremes(spec))
+        finite = all(np.isfinite(_points(spec, h)).all() for h in _extremes(spec))
     if not finite:
         lengths = {k: np.abs(v).max() for k, v in spec.params.items()
                    if k not in ("theta_start_deg", "theta_end_deg", "n_spikes", "p_disk")}
@@ -315,7 +330,7 @@ def draw_shape(spec, rng):
     variables, and point placement along the resulting outline is the
     deterministic equal-arclength grid.
     """
-    return _sample_pieces(_outline(spec, _hidden(spec, rng)), spec.n_points)
+    return _points(spec, _hidden(spec, rng))
 
 
 @dataclass
@@ -359,12 +374,15 @@ def optimize_mean_shape(spec, cfg, threads=None):
     records the minibatch mean distance per step. Divergence past 1e6 times
     the initial loss aborts.
 
-    Draws with identical bytes (corner_square has 4 outlines, bar_disk 2)
-    are evaluated once per step and their result reused; the batch sum
-    still adds one term per draw, in draw order. Evaluations run on the
-    caller's thread unless threads (or PSM_THREADS) asks for a pool. Shapes
-    are drawn serially, so the trajectory does not depend on the worker
-    count.
+    A step draws each shape's hidden variable, the same single draw that
+    draw_shape makes, and dedupes the batch on it: each distinct value is
+    evaluated once and its result reused, while the batch sum still adds
+    one term per draw, in draw order. The outlines of corner_square (4) and
+    bar_disk (2) are sampled once per run; the continuous families sample
+    each distinct draw once per step and keep nothing across steps.
+    Evaluations run on the caller's thread unless threads (or PSM_THREADS)
+    asks for a pool. Hidden variables are drawn serially, so the trajectory
+    does not depend on the worker count.
     """
     cfg.check()
     m = spec.n_points if cfg.m is None else int(cfg.m)
@@ -376,17 +394,22 @@ def optimize_mean_shape(spec, cfg, threads=None):
     init_rng, draw_rng = RandomSource(cfg.seed).split(2)
     x = np.column_stack([init_rng.uniform(0.0, 1.0, (m, 2)), np.zeros(m)])
     trace = np.empty(cfg.steps)
+    discrete = spec.family in ("corner_square", "bar_disk")
+    outlines = {h: _points(spec, h) for h in (_extremes(spec) if discrete else ())}
     for t in range(cfg.steps):
         lr = cfg.lr0 / (1.0 + t / cfg.t_half)
-        shapes = [draw_shape(spec, draw_rng) for _ in range(cfg.batch)]
-        firsts, slot = distinct(shapes)
+        hidden = [_hidden(spec, draw_rng) for _ in range(cfg.batch)]
+        firsts = list(dict.fromkeys(hidden))  # distinct values, first seen first
+        if not discrete:
+            outlines = {h: _points(spec, h) for h in firsts}
         cur = x
-        results = ordered_map(lambda s: _loss_and_grad(cur, s, cfg.metric),
-                              [shapes[i] for i in firsts], threads=nworkers)
+        results = dict(zip(firsts, ordered_map(
+            lambda h: _loss_and_grad(cur, outlines[h], cfg.metric), firsts,
+            threads=nworkers)))
         loss = 0.0
         grad = np.zeros_like(x)
-        for k in slot:
-            value, g = results[k]
+        for h in hidden:
+            value, g = results[h]
             loss += value
             grad += g
         loss /= cfg.batch

@@ -403,6 +403,19 @@ def test_meanshape_spec_outline_overflow(tmp_path, spec, key):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "spiky_arc", "n_spikes": 1e300}, "n_spikes"),
+    ({"family": "circle_radius", "n_points": 1e18}, "n_points"),
+])
+def test_meanshape_spec_count_past_address_space(tmp_path, spec, key):
+    # both counts are refused before anything is allocated
+    r = run_cli("meanshape", "--spec", spec_file(tmp_path, **spec),
+                "--steps", "2", "--batch", "1")
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {key} is too large")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # --------------------------------------------------------------- selftest
 
 def test_selftest_passes():

@@ -189,7 +189,9 @@ GRID_BODY_PARITY = {
 @pytest.mark.parametrize("name", sorted(GRID_BODY_PARITY))
 def test_grid_values_match_line_parser(name):
     body = GRID_BODY_PARITY[name]
-    assert outcome(psio._grid_values, body) == outcome(psio._grid_values_lines, body)
+    lines = body.split("\n")
+    assert (outcome(psio._grid_values, lines, 5)
+            == outcome(psio._grid_values_lines, lines, 5))
 
 
 def grid_text(dims, origin, h, values):
@@ -261,6 +263,47 @@ def test_grid_value_range_and_line_numbers(tmp_path):
         psio.read_grid(p)
     assert exc.value.line == 6
     assert "outside [0, 1]" in str(exc.value)
+
+
+def test_grid_bad_token_in_late_block_keeps_line_number(tmp_path):
+    # a 64^3 grid spans several parse blocks; break one value near the end
+    g = OccupancyGrid(64, [0, 0, 0], 1.0, np.full((64, 64, 64), 0.123456789))
+    p = tmp_path / "g.grid"
+    psio.write_grid(g, p)
+    lines = p.read_text().split("\n")
+    assert len("\n".join(lines[4:])) > 2 * psio.GRID_BLOCK_CHARS
+    bad = len(lines) - 3  # 0-based index of the third-last value line
+    lines[bad] = lines[bad].replace("0.123456789", "0.12x", 1)
+    p.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as exc:
+        psio.read_grid(p)
+    assert exc.value.line == bad + 1
+    assert "bad number '0.12x'" in str(exc.value)
+
+
+def test_grid_parses_in_blocks_with_identical_values(tmp_path):
+    rng = np.random.default_rng(8)
+    vals = rng.random((64, 64, 64))
+    vals[rng.random(vals.shape) < 0.5] = 0.0  # short and long tokens mixed
+    g = OccupancyGrid(64, [0.5, -2.0, 1e-3], 0.25, vals)
+    p = tmp_path / "g.grid"
+    psio.write_grid(g, p)
+    assert p.stat().st_size > 2 * psio.GRID_BLOCK_CHARS
+    assert np.array_equal(psio.read_grid(p).values, vals)
+
+
+def test_grid_32_parses_in_one_block(tmp_path, monkeypatch):
+    # the largest 32^3 body, every value a 23-character repr
+    vals = np.full((32, 32, 32), 2.2250738585072014e-308)
+    p = tmp_path / "g.grid"
+    psio.write_grid(OccupancyGrid(32, [0, 0, 0], 1.0, vals), p)
+    blocks = []
+    grid_values = psio._grid_values
+    monkeypatch.setattr(psio, "_grid_values",
+                        lambda lines, lineno: blocks.append(lineno)
+                        or grid_values(lines, lineno))
+    assert np.array_equal(psio.read_grid(p).values, vals)
+    assert blocks == [5]
 
 
 def test_grid_bad_cell_size(tmp_path):

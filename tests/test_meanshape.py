@@ -252,6 +252,43 @@ def test_identical_draws_evaluated_once_per_step(monkeypatch, family, params,
         assert len(calls) in calls_per_step
 
 
+@pytest.mark.parametrize("family,outlines", [("corner_square", 4), ("bar_disk", 2)])
+def test_discrete_outlines_sampled_once_per_run(monkeypatch, family, outlines):
+    import psm.meanshape
+    spec = ShapeDistributionSpec(family, n_points=32)
+    calls = []
+    sample = psm.meanshape._sample_pieces
+    monkeypatch.setattr(psm.meanshape, "_sample_pieces",
+                        lambda pieces, n: calls.append(n) or sample(pieces, n))
+    optimize_mean_shape(spec, SgdConfig(steps=20, batch=8, seed=3))
+    assert len(calls) == outlines
+
+
+def test_continuous_outlines_kept_for_one_step(monkeypatch):
+    import weakref
+
+    import psm.meanshape
+    spec = ShapeDistributionSpec("circle_radius", n_points=32)
+    sampled, live = [], []
+    sample = psm.meanshape._sample_pieces
+    loss_and_grad = psm.meanshape._loss_and_grad
+
+    def counting_sample(pieces, n):
+        out = sample(pieces, n)
+        sampled.append(weakref.ref(out))
+        return out
+
+    def counting_eval(x, s, metric):
+        live.append(sum(r() is not None for r in sampled))
+        return loss_and_grad(x, s, metric)
+
+    monkeypatch.setattr(psm.meanshape, "_sample_pieces", counting_sample)
+    monkeypatch.setattr(psm.meanshape, "_loss_and_grad", counting_eval)
+    optimize_mean_shape(spec, SgdConfig(steps=20, batch=8, seed=3))
+    assert len(sampled) <= 20 * 8  # at most batch samples per step
+    assert max(live) <= 8  # outlines of earlier steps are released
+
+
 def test_degenerate_distribution_converges_cd():
     spec = ShapeDistributionSpec("circle_radius", n_points=32,
                                  params={"r_min": 0.3, "r_max": 0.3})
