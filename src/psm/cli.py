@@ -90,13 +90,12 @@ def _cmd_emd(args):
     else:
         route = default_backend(len(a))
     params = None
-    achieved = None
     if route == "exact":
         res, assignment = emd_exact(a, b, want_grad)
     else:
         params = AuctionParams(target_rel_err=args.eps,
                                time_budget_s=args.budget_ms / 1000.0)
-        res, assignment, achieved = emd_auction(a, b, params, want_grad)
+        res, assignment, _ = emd_auction(a, b, params, want_grad)
     s = len(a)
     scale = _scale_from(args)
     div = scale * (s if args.normalize else 1)
@@ -110,11 +109,11 @@ def _cmd_emd(args):
     obj = {"command": "emd", "value": value, "backend": res.backend,
            "normalize": args.normalize, "scale": scale}
     if res.backend == "auction":
-        obj["achieved_eps"] = achieved
+        obj["achieved_eps"] = res.achieved_eps
         obj["budget_relaxed"] = res.budget_relaxed
         obj["params"] = {"target_rel_err": params.target_rel_err,
                          "time_budget_s": params.time_budget_s}
-        print(f"auction: achieved_eps={achieved:.6g} "
+        print(f"auction: achieved_eps={res.achieved_eps:.6g} "
               f"target_rel_err={params.target_rel_err:g} "
               f"budget_ms={args.budget_ms:g} "
               f"budget_relaxed={res.budget_relaxed}", file=sys.stderr)

@@ -138,20 +138,3 @@ def ordered_map(fn, items, threads=1):
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
 
-
-def distinct(arrays):
-    """Dedupe plan for arrays compared by dtype, shape and exact bytes.
-
-    Returns (firsts, slot): firsts holds the index of each distinct array's
-    first occurrence, in increasing order, and arrays[i] equals
-    arrays[firsts[slot[i]]]. A caller evaluates firsts once each and reads
-    result slot[i] for item i.
-    """
-    seen = {}
-    firsts, slot = [], []
-    for i, a in enumerate(arrays):
-        k = seen.setdefault((a.dtype.str, a.shape, a.tobytes()), len(firsts))
-        if k == len(firsts):
-            firsts.append(i)
-        slot.append(k)
-    return firsts, slot

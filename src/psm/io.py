@@ -6,10 +6,8 @@ files stay human-readable. All parsers report 1-based line numbers.
 """
 
 import json
-import os
-import stat
-from io import StringIO
-from itertools import islice
+import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,10 +17,6 @@ from .meanshape import spec_from_dict
 from .voxel import OccupancyGrid
 
 GRID_HEADER = "PSGRID 1"
-# characters of grid body lines parsed at a time: 32^3 values of at most 23
-# characters plus a separator each, so a 32^3 grid is one block and a larger
-# one never holds all its tokens at once
-GRID_BLOCK_CHARS = 32 ** 3 * 24
 
 
 def fmt_float(x):
@@ -52,10 +46,25 @@ def _parse_floats(tokens, lineno):
             v = float(tok)
         except ValueError:
             raise ParseError(lineno, f"bad number {tok!r}") from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ParseError(lineno, "non-finite coordinate")
         out.append(v)
     return out
+
+
+def _loadtxt(fh):
+    """The rest of fh as rows of floats in one numpy call, or None when it
+    holds no row or numpy refuses it (a bad token, a ragged row or
+    undecodable bytes); a caller's line parser then takes the file."""
+    try:
+        for first in fh:
+            if first.strip():  # loadtxt warns on input without rows
+                # with comments=None any '#' is a bad token
+                return np.loadtxt(chain([first], fh), dtype=np.float64,
+                                  comments=None, ndmin=2)
+    except ValueError:
+        pass
+    return None
 
 
 def read_xyz(path):
@@ -64,16 +73,10 @@ def read_xyz(path):
     Blank lines and lines starting with '#' are skipped. Plain numeric rows
     are parsed in one numpy call; the line parser takes every other file.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        if text.strip():  # loadtxt warns on a file without rows
-            # with comments=None any '#' fails here and goes to the line parser
-            pts = np.loadtxt(StringIO(text), dtype=np.float64, comments=None, ndmin=2)
-            if pts.shape[1] == 3 and np.isfinite(pts).all():
-                return pts
-    except ValueError:  # a bad number, a ragged row or undecodable bytes
-        pass
+    with open(path) as fh:
+        pts = _loadtxt(fh)
+    if pts is not None and pts.shape[1] == 3 and np.isfinite(pts).all():
+        return pts
     return _read_xyz_lines(path)
 
 
@@ -105,11 +108,18 @@ def read_grid(path):
 
     Format: header line `PSGRID 1`, dims line `D D D` (cubic), origin line
     `ox oy oz`, cell-size line `h`, then D^3 whitespace-separated values in
-    [0, 1], z fastest and x slowest.
+    [0, 1], z fastest and x slowest. A body of plain numeric rows is parsed
+    in one numpy call; the line parser takes every other body.
     """
     with open(path) as fh:
         dx, origin, h = _grid_header("".join(islice(fh, 4)).split("\n"))
-        values = _grid_body(fh, dx ** 3)
+        values = _loadtxt(fh)
+        # a NaN fails both comparisons
+        if values is None or not (values.min() >= 0.0 and values.max() <= 1.0):
+            fh.seek(0)
+            values = np.fromiter(_grid_values_lines(islice(fh, 4, None), 5), np.float64)
+    if values.size != dx ** 3:
+        raise DimensionMismatch(f"expected {dx ** 3} values, got {values.size}")
     return OccupancyGrid(dx, origin, h, values.reshape(dx, dx, dx))
 
 
@@ -143,51 +153,14 @@ def _grid_header(lines):
     return dx, origin, h
 
 
-def _grid_body(fh, expected):
-    """The values after the header, parsed GRID_BLOCK_CHARS at a time into
-    one preallocated array; any count but `expected` is refused."""
-    # each value takes a character and a separator, so a larger count than
-    # the file can hold is not allocated; the count check below refuses it
-    st = os.fstat(fh.fileno())
-    room = st.st_size // 2 + 1 if stat.S_ISREG(st.st_mode) else expected
-    values = np.empty(min(expected, room))
-    count = 0
-    lineno = 5  # the body starts on file line 5
-    while block := fh.readlines(GRID_BLOCK_CHARS):
-        v = _grid_values(block, lineno)
-        if count + len(v) <= len(values):
-            values[count:count + len(v)] = v
-        count += len(v)
-        lineno += len(block)
-        del block, v  # free this block before the next is read
-    if count != expected:
-        raise DimensionMismatch(f"expected {expected} values, got {count}")
-    return values
-
-
-def _grid_values(lines, lineno):
-    """Values of body lines, the first being file line lineno, each token
-    through float() into one array; a bad token or a value outside [0, 1]
-    goes to the line parser to report its line."""
-    tokens = " ".join(lines).split()
-    try:
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-        if values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0:
-            return values  # a NaN fails both comparisons
-    except ValueError:
-        pass
-    return _grid_values_lines(lines, lineno)
-
-
 def _grid_values_lines(lines, lineno):
-    """Line-by-line reference parser behind _grid_values."""
-    values = []
+    """Values of body lines, the first being file line lineno, one at a time:
+    the line-by-line reference parser behind read_grid."""
     for lineno, line in enumerate(lines, start=lineno):
         for v in _parse_floats(line.split(), lineno):
             if not 0.0 <= v <= 1.0:
                 raise ParseError(lineno, f"value {v!r} outside [0, 1]")
-            values.append(v)
-    return np.array(values)
+            yield v
 
 
 def write_grid(g, path):

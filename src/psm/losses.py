@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chamfer import chamfer_distance
-from .core import as_points, distinct, ordered_map
+from .core import as_points, ordered_map
 from .emd import emd
 from .errors import EmptySet, SizeMismatch
 
@@ -80,7 +80,11 @@ def mon_loss(bundle, threads=1):
         except (ValueError, ArithmeticError) as e:
             raise _annotate(e, f"candidate {j}")
 
-    firsts, _ = distinct(bundle.candidates)
+    # candidates are (N, 3) float64, so equal bytes mean equal arrays
+    seen = {}
+    for j, c in enumerate(bundle.candidates):
+        seen.setdefault(c.tobytes(), j)
+    firsts = list(seen.values())
     values = ordered_map(one, firsts, threads)
     # firsts rises and a repeat has its first's value, so this is the lowest index
     best = int(np.argmin(values))

@@ -160,12 +160,12 @@ def check_emd_auction_sound():
             a = rng.gen.random((s, 3))
             b = rng.gen.random((s, 3))
             exact = emd_exact(a, b)[0].value
-            res, _, achieved = emd_auction(a, b)
+            res = emd_auction(a, b)[0]
             assert res.value >= exact - 1e-9
-            assert res.value <= (1 + achieved) * exact + 1e-9
+            assert res.value <= (1 + res.achieved_eps) * exact + 1e-9
     a = rng.gen.random((50, 3))
-    res, _, achieved = emd_auction(a, a.copy())
-    assert res.value == 0.0 and achieved == 0.0
+    res = emd_auction(a, a.copy())[0]
+    assert res.value == 0.0 and res.achieved_eps == 0.0
 
 
 def check_sampling_fps():

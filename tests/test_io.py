@@ -1,6 +1,7 @@
 """Text formats: .xyz files, PSGRID grids, JSON distribution specs."""
 
 import re
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -171,27 +172,48 @@ def test_read_xyz_matches_line_parser_on_token_soup(tmp_path_factory, lines, sep
     assert outcome(psio.read_xyz, path) == outcome(psio._read_xyz_lines, path)
 
 
+GRID_HEADER_2 = b"PSGRID 1\n2 2 2\n0 0 0\n1\n"  # a body of 8 values follows
+
 GRID_BODY_PARITY = {
-    "valid": "0 1\n0.25\t0.75\n",
-    "above_one": "0 0 0 0\n0 1.5 0 0\n",
-    "below_zero": "0\n-0.1\n",
-    "negative_zero": "-0 0\n",
-    "nan": "0 nan\n",
-    "inf": "0\ninf\n",
-    "underscore": "0 1_0\n",
-    "plus_dot": "+.5 .25\n",
-    "bad_token": "0 0\n0 x\n",
-    "blank_lines": "\n0 1\n\n   \n1\n",
-    "empty": "",
+    "valid": b"0 1\n0.25\t0.75\n0 0\n1 1\n",
+    "ragged": b"0 1 0.25\n0.75\n0 0 1 1\n",
+    "crlf": b"0 1\r\n0.25 0.75\r\n0 0\r\n1 1\r\n",
+    "lone_cr": b"0 1\r0.25 0.75\r0 0\r1 1\r",
+    "comment": b"0 1\n# 0 0\n0 0\n1 1\n0 0\n",
+    "above_one": b"0 0 0 0\n0 1.5 0 0\n",
+    "below_zero": b"0\n-0.1\n",
+    "negative_zero": b"-0 0\n0 0\n0 0\n0 -0.0\n",
+    "nan": b"0 nan\n",
+    "inf": b"0\ninf\n",
+    "underscore": b"0 1_0\n",
+    "zero_underscore": b"0_0 0\n0 0\n0 0\n0 0\n",
+    "plus_dot": b"+.5 .25\n0 0\n0 0\n0 0\n",
+    "bad_token": b"0 0\n0 x\n",
+    "undecodable": b"0 0\n0 \xff\n0 0\n0 0\n",
+    "too_many_values": b"0 0\n0 0\n0 0\n0 0\n1 1\n",
+    "too_few_values": b"0 0\n0 0\n0 0\n0\n",
+    "blank_lines": b"\n0 1\n\n   \n1 0 0\n0 0 0\n",
+    "blank_body": b"\n  \n\t\n",
+    "empty": b"",
 }
 
 
+def read_grid_lines(path):
+    """The line parser plus the count rule: the reference behind read_grid."""
+    with open(path) as fh:
+        d, _, _ = psio._grid_header("".join(islice(fh, 4)).split("\n"))
+        values = np.fromiter(psio._grid_values_lines(fh, 5), np.float64)
+    if values.size != d ** 3:
+        raise DimensionMismatch(f"expected {d ** 3} values, got {values.size}")
+    return values.reshape(d, d, d)
+
+
 @pytest.mark.parametrize("name", sorted(GRID_BODY_PARITY))
-def test_grid_values_match_line_parser(name):
-    body = GRID_BODY_PARITY[name]
-    lines = body.split("\n")
-    assert (outcome(psio._grid_values, lines, 5)
-            == outcome(psio._grid_values_lines, lines, 5))
+def test_grid_values_match_line_parser(tmp_path, name):
+    p = tmp_path / "g.grid"
+    p.write_bytes(GRID_HEADER_2 + GRID_BODY_PARITY[name])
+    assert (outcome(lambda path: psio.read_grid(path).values, p)
+            == outcome(read_grid_lines, p))
 
 
 def grid_text(dims, origin, h, values):
@@ -266,12 +288,11 @@ def test_grid_value_range_and_line_numbers(tmp_path):
 
 
 def test_grid_bad_token_in_late_block_keeps_line_number(tmp_path):
-    # a 64^3 grid spans several parse blocks; break one value near the end
+    # break one value near the end of a 64^3 grid
     g = OccupancyGrid(64, [0, 0, 0], 1.0, np.full((64, 64, 64), 0.123456789))
     p = tmp_path / "g.grid"
     psio.write_grid(g, p)
     lines = p.read_text().split("\n")
-    assert len("\n".join(lines[4:])) > 2 * psio.GRID_BLOCK_CHARS
     bad = len(lines) - 3  # 0-based index of the third-last value line
     lines[bad] = lines[bad].replace("0.123456789", "0.12x", 1)
     p.write_text("\n".join(lines))
@@ -288,22 +309,36 @@ def test_grid_parses_in_blocks_with_identical_values(tmp_path):
     g = OccupancyGrid(64, [0.5, -2.0, 1e-3], 0.25, vals)
     p = tmp_path / "g.grid"
     psio.write_grid(g, p)
-    assert p.stat().st_size > 2 * psio.GRID_BLOCK_CHARS
     assert np.array_equal(psio.read_grid(p).values, vals)
 
 
-def test_grid_32_parses_in_one_block(tmp_path, monkeypatch):
-    # the largest 32^3 body, every value a 23-character repr
-    vals = np.full((32, 32, 32), 2.2250738585072014e-308)
+def test_written_grids_skip_line_parser(tmp_path, monkeypatch):
+    # write_grid's layout never reaches the line parser: the largest 32^3
+    # body, every value a 23-character repr, and a mixed 64^3 one
+    rng = np.random.default_rng(9)
+    big = rng.random((64, 64, 64))
+    big[rng.random(big.shape) < 0.5] = 0.0
+    line_parser = psio._grid_values_lines
+
+    def refuse(lines, lineno):
+        raise AssertionError("line parser reached")
+
+    monkeypatch.setattr(psio, "_grid_values_lines", refuse)
     p = tmp_path / "g.grid"
-    psio.write_grid(OccupancyGrid(32, [0, 0, 0], 1.0, vals), p)
-    blocks = []
-    grid_values = psio._grid_values
-    monkeypatch.setattr(psio, "_grid_values",
-                        lambda lines, lineno: blocks.append(lineno)
-                        or grid_values(lines, lineno))
-    assert np.array_equal(psio.read_grid(p).values, vals)
-    assert blocks == [5]
+    for vals in (np.full((32, 32, 32), 2.2250738585072014e-308), big):
+        psio.write_grid(OccupancyGrid(len(vals), [0, 0, 0], 1.0, vals), p)
+        assert np.array_equal(psio.read_grid(p).values, vals)
+    # the same 64^3 values with each 64-value row split 40 + 24 do reach it
+    lines = p.read_text().split("\n")
+    rows = [row.split() for row in lines[4:-1]]
+    body = [" ".join(part) for row in rows for part in (row[:40], row[40:])]
+    p.write_text("\n".join(lines[:4] + body) + "\n")
+    calls = []
+    monkeypatch.setattr(psio, "_grid_values_lines",
+                        lambda lines, lineno: calls.append(lineno)
+                        or line_parser(lines, lineno))
+    assert np.array_equal(psio.read_grid(p).values, big)
+    assert calls == [5]
 
 
 def test_grid_bad_cell_size(tmp_path):
