@@ -105,6 +105,23 @@ def _nn(q, pts, backend):
     raise ValueError(f"unknown backend {backend!r}; expected 'brute' or 'kdtree'")
 
 
+def _gradient(a, b, nn_ab, nn_ba, wa, wb):
+    """The gradient of a, from the nearest neighbors both ways."""
+    grad = 2.0 * wa * (a - b[nn_ab])
+    np.add.at(grad, nn_ba, 2.0 * wb * (a[nn_ba] - b))
+    return grad
+
+
+def _chamfer(a, b, want_grad=True, backend="brute", wa=1.0, wb=1.0):
+    """Chamfer on checked, nonempty float64 arrays of one row width (any, on
+    the brute backend): (value, gradient of a or None, nn_ab, nn_ba)."""
+    nn_ab, d2_ab = _nn(a, b, backend)
+    nn_ba, d2_ba = _nn(b, a, backend)
+    value = wa * float(np.sum(d2_ab)) + wb * float(np.sum(d2_ba))
+    grad_a = _gradient(a, b, nn_ab, nn_ba, wa, wb) if want_grad else None
+    return value, grad_a, nn_ab, nn_ba
+
+
 def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
     """Chamfer distance, optionally with gradients for both arguments.
 
@@ -121,15 +138,8 @@ def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
     if len(a) == 0 or len(b) == 0:
         raise EmptySet()
     check_span(a, b)
-    nn_ab, d2_ab = _nn(a, b, backend)
-    nn_ba, d2_ba = _nn(b, a, backend)
     wa = 1.0 / len(a) if normalize else 1.0
     wb = 1.0 / len(b) if normalize else 1.0
-    value = wa * float(np.sum(d2_ab)) + wb * float(np.sum(d2_ba))
-    if not want_grad:
-        return DistanceResult(value, backend=backend)
-    grad_a = 2.0 * wa * (a - b[nn_ab])
-    np.add.at(grad_a, nn_ba, 2.0 * wb * (a[nn_ba] - b))
-    grad_b = 2.0 * wb * (b - a[nn_ba])
-    np.add.at(grad_b, nn_ab, 2.0 * wa * (b[nn_ab] - a))
+    value, grad_a, nn_ab, nn_ba = _chamfer(a, b, want_grad, backend, wa, wb)
+    grad_b = _gradient(b, a, nn_ba, nn_ab, wb, wa) if want_grad else None
     return DistanceResult(value, grad_a, grad_b, backend=backend)

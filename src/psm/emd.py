@@ -97,23 +97,23 @@ def _grads_from_perm(a, b, perm):
     return grad_a, grad_b
 
 
+def _assign(a, b):
+    """Optimal assignment of checked, equal-size float64 arrays of one row
+    width (any): (perm, per-pair Euclidean costs)."""
+    cost = cdist(a, b)
+    _, perm = linear_sum_assignment(cost)  # square: rows come back in order
+    return perm, cost[np.arange(len(a)), perm]
+
+
 def emd_exact(a, b, want_grad=False):
     """Optimal assignment EMD. Returns (DistanceResult, Assignment)."""
     a, b = _check_pair(a, b)
-    s = len(a)
-    if s > EXACT_LIMIT:
-        raise InstanceTooLarge(s, EXACT_LIMIT)
-    cost = cdist(a, b)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(s, dtype=np.int64)
-    perm[rows] = cols
-    per_pair = cost[np.arange(s), perm]
-    value = float(np.sum(per_pair))
-    assignment = Assignment(perm, per_pair)
-    if not want_grad:
-        return DistanceResult(value, backend="exact"), assignment
-    grad_a, grad_b = _grads_from_perm(a, b, perm)
-    return DistanceResult(value, grad_a, grad_b, backend="exact"), assignment
+    if len(a) > EXACT_LIMIT:
+        raise InstanceTooLarge(len(a), EXACT_LIMIT)
+    perm, per_pair = _assign(a, b)
+    grads = _grads_from_perm(a, b, perm) if want_grad else (None, None)
+    return (DistanceResult(float(np.sum(per_pair)), *grads, backend="exact"),
+            Assignment(perm, per_pair))
 
 
 def _auction_phase(cost, prices, owner, assigned_item, eps, deadline):
@@ -232,7 +232,5 @@ def emd_auction(a, b, params=None, want_grad=False):
 def emd(a, b, want_grad=False):
     """Dispatch: exact solver up to s = EXACT_LIMIT, auction beyond."""
     if default_backend(len(as_points(a))) == "exact":
-        result, _ = emd_exact(a, b, want_grad)
-    else:
-        result, _, _ = emd_auction(a, b, want_grad=want_grad)
-    return result
+        return emd_exact(a, b, want_grad)[0]
+    return emd_auction(a, b, want_grad=want_grad)[0]

@@ -7,7 +7,7 @@ files stay human-readable. All parsers report 1-based line numbers.
 
 import json
 import math
-from itertools import chain, islice
+from itertools import chain, dropwhile, islice
 
 import numpy as np
 
@@ -71,10 +71,10 @@ def read_xyz(path):
     """Read a point set: one `x y z` line per point.
 
     Blank lines and lines starting with '#' are skipped. Plain numeric rows
-    are parsed in one numpy call; the line parser takes every other file.
+    after them are parsed in one numpy call; the line parser takes the rest.
     """
     with open(path) as fh:
-        pts = _loadtxt(fh)
+        pts = _loadtxt(dropwhile(lambda line: line.strip()[:1] in ("", "#"), fh))
     if pts is not None and pts.shape[1] == 3 and np.isfinite(pts).all():
         return pts
     return _read_xyz_lines(path)

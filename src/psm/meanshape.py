@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chamfer import chamfer_distance
-from .core import RandomSource, ordered_map, resolve_threads, validate
-from .emd import emd
+from .chamfer import _chamfer, chamfer_distance  # noqa: F401 (perfbench/tracing.py wraps it)
+from .core import (RandomSource, check_span, ordered_map, resolve_threads,
+                   validate)
+from .emd import _assign, _grads_from_perm, default_backend, emd
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
 
@@ -169,7 +170,7 @@ def _rect(cx, cy, w, h):
 
 def _sample_pieces(pieces, n):
     """n points uniform by arclength over a mix of polylines and circles,
-    as an (n, 3) array at z = 0.
+    as an (n, 2) array of plane coordinates.
 
     pieces: ('poly', vertices, closed) or ('circle', center, radius).
     Placement is deterministic: positions (i + 1/2) / n of the total
@@ -212,17 +213,16 @@ def _sample_pieces(pieces, n):
     t = (np.arange(n) + 0.5) * (total / n)
     piece_idx = np.minimum(np.searchsorted(cum, t, side="right"), len(lengths) - 1)
     local = t - (cum[piece_idx] - lengths[piece_idx])
-    out = np.zeros((n, 3))
+    out = np.zeros((n, 2))
     # a piece that holds the whole outline takes every row without a mask
     if nseg:
         rows = slice(None) if not circles else piece_idx < nseg
         i = piece_idx[rows]
-        out[rows, :2] = seg_a[i] + (local[rows] / seg_len[i])[:, None] * seg_d[i]
+        out[rows] = seg_a[i] + (local[rows] / seg_len[i])[:, None] * seg_d[i]
     for k, (c, r) in enumerate(circles):
         rows = slice(None) if len(lengths) == 1 else piece_idx == nseg + k
         ang = local[rows] / r
-        out[rows, 0] = c[0] + r * np.cos(ang)
-        out[rows, 1] = c[1] + r * np.sin(ang)
+        out[rows] = c + r * np.column_stack([np.cos(ang), np.sin(ang)])
     return out
 
 
@@ -303,7 +303,7 @@ def _outline(spec, hidden):
 
 
 def _points(spec, hidden):
-    """The n_points samples of the outline this hidden variable fixes."""
+    """The n_points plane samples of the outline this hidden variable fixes."""
     return _sample_pieces(_outline(spec, hidden), spec.n_points)
 
 
@@ -330,7 +330,7 @@ def draw_shape(spec, rng):
     variables, and point placement along the resulting outline is the
     deterministic equal-arclength grid.
     """
-    return _points(spec, _hidden(spec, rng))
+    return np.pad(_points(spec, _hidden(spec, rng)), ((0, 0), (0, 1)))
 
 
 @dataclass
@@ -359,11 +359,16 @@ class SgdConfig:
 
 
 def _loss_and_grad(x, shape, metric):
+    """The metric's value and its gradient in x, for plane coordinates."""
     if metric == "cd":
-        res = chamfer_distance(x, shape, want_grad=True, backend="brute")
-    else:
-        res = emd(x, shape, want_grad=True)
-    return res.value, res.grad_a
+        value, grad, _, _ = _chamfer(x, shape)
+        return value, grad
+    if default_backend(len(x)) == "exact":
+        perm, cost = _assign(x, shape)
+        return float(np.sum(cost)), _grads_from_perm(x, shape, perm)[0]
+    res = emd(np.pad(x, ((0, 0), (0, 1))), np.pad(shape, ((0, 0), (0, 1))),
+              want_grad=True)  # the auction route takes (N, 3) points
+    return res.value, res.grad_a[:, :2]
 
 
 def optimize_mean_shape(spec, cfg, threads=None):
@@ -372,7 +377,8 @@ def optimize_mean_shape(spec, cfg, threads=None):
     Each step draws a minibatch of shapes, averages the gradient of the
     metric with respect to x over the batch, and steps downhill. The trace
     records the minibatch mean distance per step. Divergence past 1e6 times
-    the initial loss aborts.
+    the initial loss aborts. x moves in the plane z = 0, where every family
+    lies: the loop runs on (m, 2) coordinates, and x_final has z = 0.
 
     A step draws each shape's hidden variable, the same single draw that
     draw_shape makes, and dedupes the batch on it: each distinct value is
@@ -392,7 +398,7 @@ def optimize_mean_shape(spec, cfg, threads=None):
         raise InvalidParameter("m must be >= 1")
     nworkers = resolve_threads(threads)
     init_rng, draw_rng = RandomSource(cfg.seed).split(2)
-    x = np.column_stack([init_rng.uniform(0.0, 1.0, (m, 2)), np.zeros(m)])
+    x = init_rng.uniform(0.0, 1.0, (m, 2))
     trace = np.empty(cfg.steps)
     discrete = spec.family in ("corner_square", "bar_disk")
     outlines = {h: _points(spec, h) for h in (_extremes(spec) if discrete else ())}
@@ -402,22 +408,20 @@ def optimize_mean_shape(spec, cfg, threads=None):
         firsts = list(dict.fromkeys(hidden))  # distinct values, first seen first
         if not discrete:
             outlines = {h: _points(spec, h) for h in firsts}
-        cur = x
+        if not np.isfinite(x).all():  # the public metrics' validate and check_span
+            validate(np.pad(x, ((0, 0), (0, 1))))  # names the first bad row
+        for h in firsts:
+            check_span(x, outlines[h])
         results = dict(zip(firsts, ordered_map(
-            lambda h: _loss_and_grad(cur, outlines[h], cfg.metric), firsts,
+            lambda h: _loss_and_grad(x, outlines[h], cfg.metric), firsts,
             threads=nworkers)))
-        loss = 0.0
-        grad = np.zeros_like(x)
-        for h in hidden:
-            value, g = results[h]
-            loss += value
-            grad += g
-        loss /= cfg.batch
+        loss = sum(results[h][0] for h in hidden) / cfg.batch
+        grad = sum((results[h][1] for h in hidden), np.zeros_like(x))
         trace[t] = loss
         if t > 0 and loss > 1e6 * max(trace[0], 1e-30):
             raise DivergenceDetected(t, loss, trace[0])
         x = x - (lr / cfg.batch) * grad
-    return x, trace
+    return np.pad(x, ((0, 0), (0, 1))), trace
 
 
 def emit_plot(x, spec, path):

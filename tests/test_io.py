@@ -134,6 +134,8 @@ XYZ_PARITY = {
     "comment_at_start": b"# header\n0 1 2\n",
     "comment_indented": b"  # note\n0 1 2\n",
     "comment_mid_line": b"0 1 2 # note\n",
+    "comments_and_blanks_first": b"\n# a\n \t\n#b\n0 1 2\n3 4 5\n",
+    "comment_after_rows": b"# a\n0 1 2\n# b\n3 4 5\n",
     "comment_glued": b"0 1 #2\n",
     "underscore": b"1_0 2 3\n",
     "plus_dot": b"+.5 -.25 3\n",
@@ -158,6 +160,21 @@ def test_read_xyz_matches_line_parser(tmp_path, name):
     p = tmp_path / "a.xyz"
     p.write_bytes(XYZ_PARITY[name])
     assert outcome(psio.read_xyz, p) == outcome(psio._read_xyz_lines, p)
+
+
+def test_read_xyz_header_keeps_numpy_path(tmp_path, monkeypatch):
+    # leading blank and '#' lines are skipped before numpy parses the rows
+    rng = np.random.default_rng(3)
+    p = tmp_path / "a.xyz"
+    psio.write_xyz(rng.normal(size=(500, 3)), p)
+    p.write_text("# header\n\n  # units: m\n" + p.read_text())
+    want = outcome(psio._read_xyz_lines, p)
+
+    def refuse(path):
+        raise AssertionError("line parser reached")
+
+    monkeypatch.setattr(psio, "_read_xyz_lines", refuse)
+    assert outcome(psio.read_xyz, p) == want
 
 
 TOKENS = ["0", "1", "-2.5e-3", "+.5", "7_0", "nan", "-inf", "x", "#", "#c", "1e400"]

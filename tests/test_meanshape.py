@@ -1,14 +1,16 @@
 """Shape distributions and the SGD mean-shape optimizer."""
 
 import hashlib
+import importlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from psm.core import RandomSource
-from psm.errors import (DivergenceDetected, EmptySet, InvalidParameter,
-                        SizeMismatch, UnknownFamily)
+from psm.errors import (DistanceOverflow, DivergenceDetected, EmptySet,
+                        InvalidParameter, NonFiniteCoordinate, SizeMismatch,
+                        UnknownFamily)
 from psm.meanshape import (FAMILY_DEFAULTS, SgdConfig, ShapeDistributionSpec,
                            corner_regions, draw_shape, emit_plot,
                            optimize_mean_shape, spec_from_dict)
@@ -148,6 +150,42 @@ def test_trajectory_bytes_pinned(family, metric):
         spec, SgdConfig(metric=metric, steps=30, batch=8, seed=41))
     digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
     assert digest == TRAJECTORY_DIGESTS[family, metric]
+
+
+# The same digest over runs at the benchmark's own size: 256 points, batch 8,
+# seed 41. At lr0 = 0.5 many points land exactly on outline points, so these
+# runs are tie-heavy (about 30 of 256 rows end up duplicated).
+BENCH_TRAJECTORY_DIGESTS = {
+    ("bar_disk", "cd", 200): "9f2a9bf92f7dddd4512e9533f9b5f83114ee3b914464ed2a7a8a06215a3b47fc",
+    ("circle_radius", "emd", 30): "8d5c8bb56933daa720de4f9a5358d5a2295efc239d19820646068e6e84a3b039",
+    ("corner_square", "cd", 200): "ff4b889079e46ca0f7c1b5dfa4f0ede3974c170e154074c94ee02d95b9c11226",
+}
+
+
+@pytest.mark.parametrize("family,metric,steps", sorted(BENCH_TRAJECTORY_DIGESTS))
+def test_bench_sized_trajectory_bytes_pinned(family, metric, steps):
+    spec = ShapeDistributionSpec(family, n_points=256)
+    x, trace = optimize_mean_shape(
+        spec, SgdConfig(metric=metric, steps=steps, batch=8, seed=41))
+    digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
+    assert digest == BENCH_TRAJECTORY_DIGESTS[family, metric, steps]
+
+
+def test_emd_above_exact_limit_takes_the_auction(monkeypatch):
+    # emd() routes s > EXACT_LIMIT to the auction, and so does the optimizer;
+    # the digest was taken when the optimizer still called emd() on 3-D points
+    emd_module = importlib.import_module("psm.emd")
+    monkeypatch.setattr(emd_module, "EXACT_LIMIT", 8)
+    calls = []
+    auction = emd_module.emd_auction
+    monkeypatch.setattr(emd_module, "emd_auction",
+                        lambda *args, **kw: calls.append(1) or auction(*args, **kw))
+    spec = ShapeDistributionSpec("circle_radius", n_points=16)
+    x, trace = optimize_mean_shape(
+        spec, SgdConfig(metric="emd", steps=10, batch=4, seed=41))
+    digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
+    assert digest == "8c60891677af13949eb9fb75d0caa8d77a879cd4c7b72e27f1f9a74168e72671"
+    assert len(calls) == 40
 
 
 def test_corner_choice_frequency():
@@ -362,6 +400,38 @@ def test_divergence_detected():
     cfg = SgdConfig(metric="cd", steps=20, batch=1, lr0=1e7, seed=0)
     with pytest.raises(DivergenceDetected):
         optimize_mean_shape(spec, cfg)
+
+
+@pytest.mark.parametrize("metric", ["cd", "emd"])
+def test_non_finite_step_raises(monkeypatch, metric):
+    # a NaN loss would pass the divergence test, so a NaN in x must stop the run
+    import psm.meanshape
+    calls = []
+    loss_and_grad = psm.meanshape._loss_and_grad
+
+    def nan_at_step_2(x, s, m):
+        value, grad = loss_and_grad(x, s, m)
+        calls.append(m)
+        if len(calls) == 3:  # batch 1: the third call is step 2
+            grad = grad.copy()
+            grad[5, 1] = np.nan
+        return value, grad
+
+    monkeypatch.setattr(psm.meanshape, "_loss_and_grad", nan_at_step_2)
+    spec = ShapeDistributionSpec("circle_radius", n_points=16)
+    with pytest.raises(NonFiniteCoordinate) as exc:
+        optimize_mean_shape(spec, SgdConfig(metric=metric, steps=6, batch=1, seed=2))
+    assert exc.value.index == 5
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("metric", ["cd", "emd"])
+def test_outline_past_the_float64_span_raises(metric):
+    # without the span check the losses would read inf and the run go on
+    spec = ShapeDistributionSpec("circle_radius", n_points=16,
+                                 params={"center": [1e200, 0.5]})
+    with pytest.raises(DistanceOverflow):
+        optimize_mean_shape(spec, SgdConfig(metric=metric, steps=3, batch=2, seed=1))
 
 
 # -------------------------------------------------------------------- plot

@@ -18,8 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from psm.chamfer import KdTree, chamfer_distance
-from psm.emd import AuctionParams, emd_auction, emd_exact
+from psm.chamfer import KdTree, _chamfer, _gradient, chamfer_distance
+from psm.emd import AuctionParams, _assign, _grads_from_perm, emd_auction, emd_exact
 from psm.sampling import farthest_point_sample
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
@@ -101,6 +101,32 @@ def test_backends_bitwise_equal_with_lowest_index_nn(pair):
     for q, pts in ((a, b), (b, a)):
         idx, _ = KdTree(pts).query(q)
         assert np.array_equal(idx, lowest_index_nn(q, pts))
+
+
+def kernel_and_public_args(a, b):
+    """The kernels' inputs and the public functions' inputs that must give the
+    same bits: (a, b) as they are, then their x and y against z = 0."""
+    a2, b2 = np.ascontiguousarray(a[:, :2]), np.ascontiguousarray(b[:, :2])
+    flat = [np.column_stack([p, np.zeros(len(p))]) for p in (a2, b2)]
+    return [((a, b), (a, b)), ((a2, b2), tuple(flat))]
+
+
+def first_columns(grad, width):
+    return np.ascontiguousarray(grad[:, :width]).tobytes()
+
+
+@CHECKED
+@given(cloud_pairs())
+def test_chamfer_kernel_equals_public_brute_in_3d_and_in_plane(pair):
+    # the mean-shape optimizer calls the kernel on plane coordinates
+    for (ka, kb), (pa, pb) in kernel_and_public_args(*pair):
+        res = chamfer_distance(pa, pb, backend="brute", want_grad=True)
+        value, grad_a, nn_ab, nn_ba = _chamfer(ka, kb)
+        width = ka.shape[1]
+        assert value == res.value
+        assert grad_a.tobytes() == first_columns(res.grad_a, width)
+        grad_b = _gradient(kb, ka, nn_ba, nn_ab, 1.0, 1.0)
+        assert grad_b.tobytes() == first_columns(res.grad_b, width)
 
 
 def fps_rowsum(pts, k, start):
@@ -236,6 +262,19 @@ def test_exact_equals_enumeration(pair):
     res, assignment = emd_exact(a, b)
     assert sorted(assignment.perm.tolist()) == list(range(s))
     assert abs(res.value - best) <= SUM_RTOL * best
+
+
+@CHECKED
+@given(equal_size_pairs(max_size=48))
+def test_assignment_kernel_equals_exact_in_3d_and_in_plane(pair):
+    for (ka, kb), (pa, pb) in kernel_and_public_args(*pair):
+        res, assignment = emd_exact(pa, pb, want_grad=True)
+        perm, cost = _assign(ka, kb)
+        assert perm.tobytes() == assignment.perm.tobytes()
+        assert cost.tobytes() == assignment.per_pair_cost.tobytes()
+        assert float(np.sum(cost)) == res.value
+        grad_a = _grads_from_perm(ka, kb, perm)[0]
+        assert grad_a.tobytes() == first_columns(res.grad_a, ka.shape[1])
 
 
 @CHECKED
