@@ -7,13 +7,13 @@ the two directed sums are unnormalized by default. Note this is not a true
 metric: the triangle inequality can fail. Nearest-neighbor ties break to the
 lowest index in the other set, which makes gradients deterministic.
 
-Two backends compute the same nearest neighbors: a chunked brute-force scan
-over scipy's cdist, and scipy's cKDTree with every near tie rescored
-exactly. Both report squared distances summed in cdist's order, so their
-values agree bit for bit, not merely to tolerance. Per-point searches are
-independent; the value is reduced by pairwise summation in index order, so
-results do not depend on how the work is split. Inputs whose squared
-distances could overflow float64 are rejected.
+Two routes, picked by the input sizes (SCAN_LIMIT), compute the same nearest
+neighbors: a chunked brute-force scan over scipy's cdist, and scipy's cKDTree
+with every near tie rescored exactly. Both report squared distances summed in
+cdist's order, so their values agree bit for bit, not merely to tolerance.
+Per-point searches are independent; the value is reduced by pairwise
+summation in index order, so results do not depend on how the work is split.
+Inputs whose squared distances could overflow float64 are rejected.
 """
 
 import numpy as np
@@ -27,13 +27,19 @@ from .errors import EmptySet
 # distance; candidates this close (relative) to the best are rescored exactly
 _TIE_RTOL = 1e-12
 
+# m x n points scan while m n <= SCAN_LIMIT (m + n), else take the kd-tree.
+# CPU ms, scan / kd-tree, uniform 3-D (2-vCPU x86 guest, scipy 1.17): 512^2
+# 2.20 / 2.20, 640^2 3.29 / 2.85, 1024^2 12.9 / 4.0; 64 x 8192 5.18 / 12.1,
+# which a bare m n limit would send to the tree.
+SCAN_LIMIT = 256
+
 
 def _sqdist(q, p):
-    """Squared distances between paired rows, summed (dx^2 + dy^2) + dz^2:
-    cdist's sqeuclidean order, so they equal the brute backend's bit for bit."""
+    """Squared distances between paired rows, summed (dx^2 + dy^2) + dz^2 and
+    so on: cdist's sqeuclidean order, so they equal the scan's bit for bit."""
     d = q - p
     d *= d
-    return d[:, 0] + d[:, 1] + d[:, 2]
+    return sum(d.T[1:], d[:, 0])
 
 
 class KdTree:
@@ -45,8 +51,8 @@ class KdTree:
     distance is rescored exactly, and the lowest index wins ties.
     """
 
-    def __init__(self, points):
-        pts = validate(points)
+    def __init__(self, points, _checked=False):
+        pts = points if _checked else validate(points)
         if len(pts) == 0:
             raise EmptySet()
         self.points = pts
@@ -57,12 +63,13 @@ class KdTree:
         self.labels = order[first]
         self.tree = cKDTree(run[first])
 
-    def query(self, points):
+    def query(self, points, _checked=False):
         """Exact nearest neighbors: (indices, squared distances)."""
-        q = validate(points)
+        q = points if _checked else validate(points)
         if len(q) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        check_span(q, self.points)
+        if not _checked:
+            check_span(q, self.points)
         d, j = self.tree.query(q, k=2)
         idx = self.labels[j[:, 0]]
         # with one distinct point the second distance is inf: never a tie
@@ -97,11 +104,15 @@ def _nn_brute(q, pts, chunk=512):
     return idx, d2min
 
 
+def _route(m, n):
+    return "brute" if m * n <= SCAN_LIMIT * (m + n) else "kdtree"
+
+
 def _nn(q, pts, backend):
     if backend == "brute":
         return _nn_brute(q, pts)
     if backend == "kdtree":
-        return KdTree(pts).query(q)
+        return KdTree(pts, _checked=True).query(q, _checked=True)
     raise ValueError(f"unknown backend {backend!r}; expected 'brute' or 'kdtree'")
 
 
@@ -112,9 +123,10 @@ def _gradient(a, b, nn_ab, nn_ba, wa, wb):
     return grad
 
 
-def _chamfer(a, b, want_grad=True, backend="brute", wa=1.0, wb=1.0):
-    """Chamfer on checked, nonempty float64 arrays of one row width (any, on
-    the brute backend): (value, gradient of a or None, nn_ab, nn_ba)."""
+def _chamfer(a, b, want_grad=True, backend=None, wa=1.0, wb=1.0):
+    """Chamfer on checked, nonempty float64 arrays of one row width (any):
+    (value, gradient of a or None, nn_ab, nn_ba)."""
+    backend = _route(len(a), len(b)) if backend is None else backend
     nn_ab, d2_ab = _nn(a, b, backend)
     nn_ba, d2_ba = _nn(b, a, backend)
     value = wa * float(np.sum(d2_ab)) + wb * float(np.sum(d2_ba))
@@ -122,7 +134,7 @@ def _chamfer(a, b, want_grad=True, backend="brute", wa=1.0, wb=1.0):
     return value, grad_a, nn_ab, nn_ba
 
 
-def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
+def chamfer_distance(a, b, want_grad=False, backend=None, normalize=False):
     """Chamfer distance, optionally with gradients for both arguments.
 
     normalize=False reproduces the plain double sum. normalize=True divides
@@ -132,6 +144,8 @@ def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
     The gradient of a_i collects two terms: the forward term
     2 (a_i - nn_b(a_i)) and one backward term 2 (a_i - b_j) for every b_j
     whose nearest neighbor in a is a_i.
+
+    The sizes pick the route unless backend forces one; res.backend names it.
     """
     a = validate(a)
     b = validate(b)
@@ -140,6 +154,7 @@ def chamfer_distance(a, b, want_grad=False, backend="kdtree", normalize=False):
     check_span(a, b)
     wa = 1.0 / len(a) if normalize else 1.0
     wb = 1.0 / len(b) if normalize else 1.0
+    backend = _route(len(a), len(b)) if backend is None else backend
     value, grad_a, nn_ab, nn_ba = _chamfer(a, b, want_grad, backend, wa, wb)
     grad_b = _gradient(b, a, nn_ba, nn_ab, wb, wa) if want_grad else None
     return DistanceResult(value, grad_a, grad_b, backend=backend)

@@ -8,6 +8,7 @@ flags and input files.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,7 +69,7 @@ def _cmd_chamfer(args):
     a = psio.read_xyz(args.a)
     b = psio.read_xyz(args.b)
     res = chamfer_distance(a, b, want_grad=args.grad is not None,
-                           backend=args.backend, normalize=args.normalize)
+                           normalize=args.normalize)
     scale = _scale_from(args)
     value = res.value / scale
     if args.grad is not None:
@@ -237,6 +238,7 @@ def _cmd_selftest(args):
     return 1 if failures else 0
 
 
+@functools.cache  # parse_args leaves a parser unchanged: one serves every main()
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="psm",
@@ -256,7 +258,6 @@ def build_parser():
     p.add_argument("b")
     p.add_argument("--grad", metavar="OUT.xyz",
                    help="write the gradient with respect to A")
-    p.add_argument("--backend", choices=["brute", "kdtree"], default="kdtree")
     p.add_argument("--normalize", action="store_true",
                    help="divide each directed sum by its set size (extension)")
     p.add_argument("--grid-unit", metavar="DIMS,CELL",

@@ -7,7 +7,7 @@ files stay human-readable. All parsers report 1-based line numbers.
 
 import json
 import math
-from itertools import chain, dropwhile, islice
+from itertools import chain, dropwhile, filterfalse, islice
 
 import numpy as np
 
@@ -27,14 +27,19 @@ def fmt_float(x):
     return s
 
 
-def _write_rows(fh, values, width):
-    """Write values `width` to a line, each as fmt_float writes it, formatted
-    from Python floats a block of lines at a time."""
+def _write_rows(fh, values, width, distinct=False):
+    """Write values `width` to a line as fmt_float does, a block of lines at a
+    time; distinct formats each bit pattern once, faster if values repeat."""
     rows = np.asarray(values, dtype=np.float64).reshape(-1, width)
     step = max(1, 65536 // width)
     for lo in range(0, len(rows), step):
-        toks = [t[:-2] if t.endswith(".0") else t
-                for t in map(repr, rows[lo:lo + step].ravel().tolist())]
+        block = rows[lo:lo + step].ravel()
+        if distinct:
+            bits, inv = np.unique(block.view(np.int64), return_inverse=True)
+            block = bits.view(np.float64)
+        toks = [t[:-2] if t.endswith(".0") else t for t in map(repr, block.tolist())]
+        if distinct:
+            toks = np.array(toks, dtype=object)[inv].tolist()
         fh.write("".join(" ".join(toks[i:i + width]) + "\n"
                          for i in range(0, len(toks), width)))
 
@@ -67,14 +72,21 @@ def _loadtxt(fh):
     return None
 
 
+def _skipped(line):
+    return line.strip()[:1] in ("", "#")
+
+
 def read_xyz(path):
     """Read a point set: one `x y z` line per point.
 
-    Blank lines and lines starting with '#' are skipped. Plain numeric rows
-    after them are parsed in one numpy call; the line parser takes the rest.
+    Blank lines and lines starting with '#' are skipped. Files of plain
+    numeric rows are parsed by numpy; the line parser takes the rest.
     """
     with open(path) as fh:
-        pts = _loadtxt(dropwhile(lambda line: line.strip()[:1] in ("", "#"), fh))
+        pts = _loadtxt(dropwhile(_skipped, fh))
+        if pts is None:  # a skipped line after the first row, or a bad file
+            fh.seek(0)
+            pts = _loadtxt(filterfalse(_skipped, fh))
     if pts is not None and pts.shape[1] == 3 and np.isfinite(pts).all():
         return pts
     return _read_xyz_lines(path)
@@ -85,10 +97,9 @@ def _read_xyz_lines(path):
     points = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            if _skipped(raw):
                 continue
-            tokens = line.split()
+            tokens = raw.split()
             if len(tokens) != 3:
                 raise ParseError(lineno, "expected 3 tokens")
             points.append(_parse_floats(tokens, lineno))
@@ -172,7 +183,7 @@ def write_grid(g, path):
         fh.write(f"{d} {d} {d}\n")
         fh.write(" ".join(fmt_float(c) for c in g.origin) + "\n")
         fh.write(fmt_float(g.cell_size) + "\n")
-        _write_rows(fh, g.values, d)  # one z-run per line
+        _write_rows(fh, g.values, d, distinct=True)  # one z-run per line
 
 
 def read_distribution_spec(path):

@@ -10,8 +10,11 @@ import itertools
 import numpy as np
 import pytest
 
+import psm.chamfer as chamfer_module
 from psm.chamfer import KdTree, chamfer_distance
 from psm.errors import DistanceOverflow, EmptySet, NonFiniteCoordinate
+from psm.losses import CandidateBundle, batch_loss, mon_loss
+from psm.meanshape import SgdConfig, ShapeDistributionSpec, optimize_mean_shape
 
 
 def nn_loop(p, pts):
@@ -210,7 +213,27 @@ def test_tie_gradient_decreases_value():
 def test_want_grad_false_leaves_gradients_none():
     res = chamfer_distance([(0, 0, 0)], [(1, 1, 1)])
     assert res.grad_a is None and res.grad_b is None
-    assert res.backend == "kdtree"
+    assert res.backend == "brute"
+
+
+# m x n points scan while m n <= 256 (m + n): 512 x 512 and 1024 x 341 lie on
+# the scan's side of the boundary, 513 x 512 and 1024 x 342 just past it
+@pytest.mark.parametrize("m,n,route", [
+    (512, 512, "brute"), (513, 512, "kdtree"), (1024, 341, "brute"),
+    (1024, 342, "kdtree"), (64, 8192, "brute")])
+def test_default_route_follows_the_size_rule(monkeypatch, m, n, route):
+    rng = np.random.default_rng(24)
+    a, b = rng.random((m, 3)), rng.random((n, 3))
+    assert chamfer_distance(a, b).backend == route
+    routes = []
+    nn = chamfer_module._nn
+    monkeypatch.setattr(chamfer_module, "_nn",
+                        lambda q, pts, backend: routes.append(backend) or nn(q, pts, backend))
+    mon_loss(CandidateBundle([a], b))
+    batch_loss([(a, b)])
+    spec = ShapeDistributionSpec("circle_radius", n_points=n)
+    optimize_mean_shape(spec, SgdConfig(steps=1, batch=1, m=m))
+    assert routes == [route] * 6
 
 
 # ---------------------------------------------------------------- kd-tree

@@ -1,5 +1,6 @@
 """Text formats: .xyz files, PSGRID grids, JSON distribution specs."""
 
+import io
 import re
 from itertools import islice
 from pathlib import Path
@@ -106,6 +107,25 @@ def test_writers_match_per_value_fmt_float(tmp_path):
         assert p.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("kind", ["binary", "raw", "negative_zero", "tiny"])
+def test_write_grid_body_matches_per_value_rows(tmp_path, kind):
+    # write_grid formats each distinct value once; the text must not change
+    rng = np.random.default_rng(9)
+    d = 32
+    values = (rng.random(d ** 3) < 0.1).astype(np.float64)
+    if kind == "raw":
+        values *= np.round(rng.random(d ** 3), 3)
+    elif kind == "negative_zero":
+        values[::7] = -0.0
+    elif kind == "tiny":
+        values[::5] = 1e-300
+    p = tmp_path / "g.psgrid"
+    psio.write_grid(OccupancyGrid(d, [0, 0, 0], 1.0, values.reshape(d, d, d)), p)
+    body = io.StringIO()
+    psio._write_rows(body, values, d)
+    assert p.read_text().split("\n", 4)[4] == body.getvalue()
+
+
 def test_xyz_round_trip_exact(tmp_path):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(1000, 3)) * rng.choice([1e-9, 1.0, 1e12], size=(1000, 1))
@@ -136,6 +156,7 @@ XYZ_PARITY = {
     "comment_mid_line": b"0 1 2 # note\n",
     "comments_and_blanks_first": b"\n# a\n \t\n#b\n0 1 2\n3 4 5\n",
     "comment_after_rows": b"# a\n0 1 2\n# b\n3 4 5\n",
+    "comment_mid_file": b"0 1 2\n\n# part 2\n3 4 5\n",
     "comment_glued": b"0 1 #2\n",
     "underscore": b"1_0 2 3\n",
     "plus_dot": b"+.5 -.25 3\n",
@@ -168,6 +189,22 @@ def test_read_xyz_header_keeps_numpy_path(tmp_path, monkeypatch):
     p = tmp_path / "a.xyz"
     psio.write_xyz(rng.normal(size=(500, 3)), p)
     p.write_text("# header\n\n  # units: m\n" + p.read_text())
+    want = outcome(psio._read_xyz_lines, p)
+
+    def refuse(path):
+        raise AssertionError("line parser reached")
+
+    monkeypatch.setattr(psio, "_read_xyz_lines", refuse)
+    assert outcome(psio.read_xyz, p) == want
+
+
+def test_read_xyz_mid_file_comment_keeps_numpy_path(tmp_path, monkeypatch):
+    # a '#' line between rows costs numpy one more pass, not the line parser
+    rng = np.random.default_rng(4)
+    p = tmp_path / "a.xyz"
+    psio.write_xyz(rng.normal(size=(500, 3)), p)
+    lines = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines[:200] + ["# part 2\n"] + lines[200:]))
     want = outcome(psio._read_xyz_lines, p)
 
     def refuse(path):

@@ -152,6 +152,20 @@ def test_trajectory_bytes_pinned(family, metric):
     assert digest == TRAJECTORY_DIGESTS[family, metric]
 
 
+@pytest.mark.parametrize("family", ["bar_disk", "corner_square"])
+def test_kdtree_route_reproduces_the_scan_trajectory(monkeypatch, family):
+    # these 64-point runs take the scan; forced onto the kd-tree, with the
+    # scan made to fail, they must give the same bits
+    chamfer_module = importlib.import_module("psm.chamfer")
+    monkeypatch.setattr(chamfer_module, "SCAN_LIMIT", 0)
+    monkeypatch.setattr(chamfer_module, "_nn_brute", None)
+    spec = ShapeDistributionSpec(family, n_points=64)
+    x, trace = optimize_mean_shape(
+        spec, SgdConfig(metric="cd", steps=30, batch=8, seed=41))
+    digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
+    assert digest == TRAJECTORY_DIGESTS[family, "cd"]
+
+
 # The same digest over runs at the benchmark's own size: 256 points, batch 8,
 # seed 41. At lr0 = 0.5 many points land exactly on outline points, so these
 # runs are tie-heavy (about 30 of 256 rows end up duplicated).

@@ -129,6 +129,18 @@ def test_chamfer_kernel_equals_public_brute_in_3d_and_in_plane(pair):
         assert grad_b.tobytes() == first_columns(res.grad_b, width)
 
 
+@CHECKED
+@given(cloud_pairs())
+def test_chamfer_kdtree_route_equals_scan_in_3d_and_in_plane(pair):
+    # value, gradient and both nearest-neighbor index arrays
+    for (a, b), _ in kernel_and_public_args(*pair):
+        scan = _chamfer(a, b, backend="brute")
+        tree = _chamfer(a, b, backend="kdtree")
+        assert tree[0] == scan[0]
+        for got, want in zip(tree[1:], scan[1:]):
+            assert got.tobytes() == want.tobytes()
+
+
 def fps_rowsum(pts, k, start):
     """The greedy rule with distances taken as row sums of squares."""
     chosen = [start]
