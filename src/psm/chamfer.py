@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import DistanceResult, check_span, validate
+from .core import DistanceResult, check_pair, check_span, validate
 from .errors import EmptySet
 
 # cKDTree sums the same squares in its own order, a few ulps off the exact
@@ -147,11 +147,7 @@ def chamfer_distance(a, b, want_grad=False, backend=None, normalize=False):
 
     The sizes pick the route unless backend forces one; res.backend names it.
     """
-    a = validate(a)
-    b = validate(b)
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySet()
-    check_span(a, b)
+    a, b = check_pair(a, b)
     wa = 1.0 / len(a) if normalize else 1.0
     wb = 1.0 / len(b) if normalize else 1.0
     backend = _route(len(a), len(b)) if backend is None else backend

@@ -81,21 +81,14 @@ def _cmd_chamfer(args):
 
 
 def _cmd_emd(args):
+    params = AuctionParams(args.eps, args.budget_ms / 1000.0)
+    params.check()  # on every route, so a bad flag never passes unnoticed
     a = psio.read_xyz(args.a)
     b = psio.read_xyz(args.b)
     want_grad = args.grad is not None
-    if args.exact:
-        route = "exact"
-    elif args.auction:
-        route = "auction"
-    else:
-        route = default_backend(len(a))
-    params = None
-    if route == "exact":
+    if default_backend(len(a)) == "exact":
         res, assignment = emd_exact(a, b, want_grad)
     else:
-        params = AuctionParams(target_rel_err=args.eps,
-                               time_budget_s=args.budget_ms / 1000.0)
         res, assignment, _ = emd_auction(a, b, params, want_grad)
     s = len(a)
     scale = _scale_from(args)
@@ -268,17 +261,12 @@ def build_parser():
                        help="assignment distance between two equal-size .xyz files")
     p.add_argument("a")
     p.add_argument("b")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true",
-                       help=f"force the exact solver (s <= {EXACT_LIMIT}, "
-                            "the default up to there)")
-    group.add_argument("--auction", action="store_true",
-                       help="force the approximate auction solver "
-                            f"(the default above s = {EXACT_LIMIT})")
     p.add_argument("--eps", type=float, default=0.01,
-                   help="auction target relative error (default 0.01)")
+                   help="auction target relative error (default 0.01; "
+                        f"the auction runs above s = {EXACT_LIMIT})")
     p.add_argument("--budget-ms", type=float, default=1000.0,
-                   help="auction time budget per instance (default 1000)")
+                   help="auction time budget per instance (default 1000; "
+                        f"the auction runs above s = {EXACT_LIMIT})")
     p.add_argument("--grad", metavar="OUT.xyz",
                    help="write the gradient with respect to A")
     p.add_argument("--dump-matching", metavar="OUT.txt",

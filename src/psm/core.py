@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DistanceOverflow, EmptySet, NonFiniteCoordinate
+from .errors import DistanceOverflow, EmptySet, NonFiniteCoordinate, SizeMismatch
 
 # a sum of three squares up to this stays finite in any order
 _MAX_SPAN2 = np.finfo(np.float64).max / 4
@@ -51,6 +51,19 @@ def check_span(a, b):
         span2 = float(np.sum((hi - lo) ** 2))
     if not span2 <= _MAX_SPAN2:
         raise DistanceOverflow(f"squared extent {span2:g} of the points overflows float64")
+
+
+def check_pair(a, b, same_size=False):
+    """The checked arrays of a metric's input pair: finite, nonempty, of one
+    size when same_size, and within float64's span."""
+    a = validate(a)
+    b = validate(b)
+    if len(a) == 0 or len(b) == 0:
+        raise EmptySet()
+    if same_size and len(a) != len(b):
+        raise SizeMismatch(len(a), len(b))
+    check_span(a, b)
+    return a, b
 
 
 def bounding_box(ps):

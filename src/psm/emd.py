@@ -9,7 +9,8 @@ module on purpose. Two backends:
   emd_auction  epsilon-scaling auction, certifies cost <= (1 + eps) * optimal
 
 emd() and `psm emd` take the exact solver wherever it is allowed and the
-auction above that (default_backend).
+auction above that (default_backend). Each entry checks its pair once and
+runs _emd, which takes checked arrays of any row width.
 
 The gradient at a_i is the unit vector from its matched partner toward a_i,
 (a_i - b_phi(i)) / ||a_i - b_phi(i)||, and the opposite for the partner.
@@ -24,8 +25,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .core import DistanceResult, as_points, check_span, validate
-from .errors import EmptySet, InstanceTooLarge, SizeMismatch
+from .core import DistanceResult, check_pair
+from .errors import InstanceTooLarge
 
 # Memory does not set this limit: the auction holds the same s x s cdist
 # matrix, plus an s x s gathered copy in its first round. Time does. scipy's
@@ -70,17 +71,6 @@ class AuctionParams:
             raise ValueError("time_budget_s must be > 0")
 
 
-def _check_pair(a, b):
-    a = validate(a)
-    b = validate(b)
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySet()
-    if len(a) != len(b):
-        raise SizeMismatch(len(a), len(b))
-    check_span(a, b)
-    return a, b
-
-
 def default_backend(s):
     """The solver emd() and `psm emd` use for s points per side."""
     return "exact" if s <= EXACT_LIMIT else "auction"
@@ -107,13 +97,7 @@ def _assign(a, b):
 
 def emd_exact(a, b, want_grad=False):
     """Optimal assignment EMD. Returns (DistanceResult, Assignment)."""
-    a, b = _check_pair(a, b)
-    if len(a) > EXACT_LIMIT:
-        raise InstanceTooLarge(len(a), EXACT_LIMIT)
-    perm, per_pair = _assign(a, b)
-    grads = _grads_from_perm(a, b, perm) if want_grad else (None, None)
-    return (DistanceResult(float(np.sum(per_pair)), *grads, backend="exact"),
-            Assignment(perm, per_pair))
+    return _emd(*check_pair(a, b, same_size=True), want_grad, "exact")
 
 
 def _auction_phase(cost, prices, owner, assigned_item, eps, deadline):
@@ -156,35 +140,16 @@ def _auction_phase(cost, prices, owner, assigned_item, eps, deadline):
         assigned_item[win_bidders] = uniq_items
 
 
-def emd_auction(a, b, params=None, want_grad=False):
-    """Approximate EMD. Returns (DistanceResult, Assignment, achieved_eps).
-
-    achieved_eps is the certified relative bound: the returned cost is
-    at most (1 + achieved_eps) times the optimum. It follows from
-    epsilon-complementary slackness, which caps the absolute gap at
-    s * eps_final; the conversion uses the returned cost itself. The
-    result's budget_relaxed is True when achieved_eps exceeds
-    params.target_rel_err or the final epsilon stays above the floor the
-    target asks for: the time budget ran out, or on near-coincident sets
-    float64 cannot resolve that floor.
-    """
-    a, b = _check_pair(a, b)
-    if params is None:
-        params = AuctionParams()
-    params.check()
+def _auction(a, b, params):
+    """The epsilon-scaling auction on checked, equal-size float64 arrays of
+    one row width (any), params checked: (perm, per-pair Euclidean costs,
+    achieved_eps, budget_relaxed)."""
     s = len(a)
     cost = cdist(a, b)
     cmax = float(cost.max())
     if cmax == 0.0:
         # every point of both sets is one point; any matching is optimal
-        perm = np.arange(s, dtype=np.int64)
-        per_pair = np.zeros(s)
-        result = DistanceResult(0.0, backend="auction", achieved_eps=0.0,
-                                budget_relaxed=False)
-        if want_grad:
-            result.grad_a = np.zeros_like(a)
-            result.grad_b = np.zeros_like(b)
-        return result, Assignment(perm, per_pair), 0.0
+        return np.arange(s, dtype=np.int64), np.zeros(s), 0.0, False
 
     prices = np.zeros(s)
     eps = cmax / 2.0
@@ -218,19 +183,47 @@ def emd_auction(a, b, params=None, want_grad=False):
         deadline = t0 + 16.0 * params.time_budget_s
 
     if value <= 0.0:  # a zero-cost matching is optimal whatever eps found it
-        achieved, relaxed = 0.0, False
+        return perm, per_pair, 0.0, False
+    # the second test catches rounding at the floor
+    relaxed = eps_final > target_floor or achieved > params.target_rel_err
+    return perm, per_pair, achieved, relaxed
+
+
+def _emd(a, b, want_grad, backend, params=None):
+    """EMD of a checked pair by the named backend, on any row width:
+    (DistanceResult, Assignment)."""
+    bound = ()  # the auction's (achieved_eps, budget_relaxed)
+    if backend == "exact":
+        if len(a) > EXACT_LIMIT:
+            raise InstanceTooLarge(len(a), EXACT_LIMIT)
+        perm, per_pair = _assign(a, b)
     else:
-        # the second test catches rounding at the floor
-        relaxed = eps_final > target_floor or achieved > params.target_rel_err
-    result = DistanceResult(value, backend="auction", achieved_eps=achieved,
-                            budget_relaxed=relaxed)
-    if want_grad:
-        result.grad_a, result.grad_b = _grads_from_perm(a, b, perm)
-    return result, Assignment(perm, per_pair), achieved
+        params = AuctionParams() if params is None else params
+        params.check()
+        perm, per_pair, *bound = _auction(a, b, params)
+    grads = _grads_from_perm(a, b, perm) if want_grad else (None, None)
+    return (DistanceResult(float(np.sum(per_pair)), *grads, backend, *bound),
+            Assignment(perm, per_pair))
+
+
+def emd_auction(a, b, params=None, want_grad=False):
+    """Approximate EMD. Returns (DistanceResult, Assignment, achieved_eps).
+
+    achieved_eps is the certified relative bound: the returned cost is
+    at most (1 + achieved_eps) times the optimum. It follows from
+    epsilon-complementary slackness, which caps the absolute gap at
+    s * eps_final; the conversion uses the returned cost itself. The
+    result's budget_relaxed is True when achieved_eps exceeds
+    params.target_rel_err or the final epsilon stays above the floor the
+    target asks for: the time budget ran out, or on near-coincident sets
+    float64 cannot resolve that floor.
+    """
+    res, assignment = _emd(*check_pair(a, b, same_size=True), want_grad,
+                           "auction", params)
+    return res, assignment, res.achieved_eps
 
 
 def emd(a, b, want_grad=False):
     """Dispatch: exact solver up to s = EXACT_LIMIT, auction beyond."""
-    if default_backend(len(as_points(a))) == "exact":
-        return emd_exact(a, b, want_grad)[0]
-    return emd_auction(a, b, want_grad=want_grad)[0]
+    a, b = check_pair(a, b, same_size=True)
+    return _emd(a, b, want_grad, default_backend(len(a)))[0]

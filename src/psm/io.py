@@ -176,7 +176,7 @@ def _grid_values_lines(lines, lineno):
 
 def write_grid(g, path):
     d = g.dims
-    if (g.values < 0.0).any() or (g.values > 1.0).any():
+    if not (g.values.min() >= 0.0 and g.values.max() <= 1.0):  # NaN fails both
         raise ValueError("grid values outside [0, 1]; saturate or binarize first")
     with open(path, "w", newline="\n") as fh:
         fh.write(GRID_HEADER + "\n")

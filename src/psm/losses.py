@@ -16,12 +16,15 @@ from .errors import EmptySet, SizeMismatch
 METRICS = ("cd", "emd")
 
 
+def _check_metric(metric):
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
 def _distance(pred, gt, metric):
     if metric == "cd":
         return chamfer_distance(pred, gt).value
-    if metric == "emd":
-        return emd(pred, gt).value
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    return emd(pred, gt).value
 
 
 def _annotate(e, label):
@@ -35,6 +38,7 @@ def batch_loss(pairs, metric="cd"):
     Pairs are evaluated one after another on the caller's thread. Per-pair
     failures propagate with the pair index prepended.
     """
+    _check_metric(metric)
     values = []
     for i, (pred, gt) in enumerate(pairs):
         try:
@@ -53,8 +57,7 @@ class CandidateBundle:
     metric: str = "cd"
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
+        _check_metric(self.metric)
         self.candidates = [as_points(c) for c in self.candidates]
         self.groundtruth = as_points(self.groundtruth)
         if len(self.candidates) == 0:

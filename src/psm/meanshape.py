@@ -25,7 +25,7 @@ import numpy as np
 from .chamfer import _chamfer, chamfer_distance  # noqa: F401 (perfbench/tracing.py wraps it)
 from .core import (RandomSource, check_span, ordered_map, resolve_threads,
                    validate)
-from .emd import _assign, _grads_from_perm, default_backend, emd
+from .emd import _emd, default_backend
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
 
@@ -363,12 +363,8 @@ def _loss_and_grad(x, shape, metric):
     if metric == "cd":
         value, grad, _, _ = _chamfer(x, shape)
         return value, grad
-    if default_backend(len(x)) == "exact":
-        perm, cost = _assign(x, shape)
-        return float(np.sum(cost)), _grads_from_perm(x, shape, perm)[0]
-    res = emd(np.pad(x, ((0, 0), (0, 1))), np.pad(shape, ((0, 0), (0, 1))),
-              want_grad=True)  # the auction route takes (N, 3) points
-    return res.value, res.grad_a[:, :2]
+    res, _ = _emd(x, shape, True, default_backend(len(x)))
+    return res.value, res.grad_a
 
 
 def optimize_mean_shape(spec, cfg, threads=None):

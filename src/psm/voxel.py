@@ -11,6 +11,7 @@ fall outside the grid are discarded, so only points whose cube lies fully
 inside conserve their unit of mass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,24 @@ import numpy as np
 from .core import validate
 from .errors import (EmptySet, GridMismatch, InvalidThreshold, NonBinaryGrid,
                      PointOutsideGrid)
+
+
+def _geometry(dims, origin, cell_size):
+    """(dims, origin, cell size) as int, (3,) float64 and float, checked:
+    dims >= 1, a finite origin, a finite cell size > 0 and a finite far
+    corner."""
+    dims = int(dims)
+    origin = np.asarray(origin, dtype=np.float64).reshape(3)
+    h = float(cell_size)
+    if dims < 1:
+        raise ValueError("dims must be >= 1")
+    if not np.isfinite(origin).all():
+        raise ValueError("origin must be finite")
+    if not 0 < h < math.inf:
+        raise ValueError("cell_size must be finite and > 0")
+    if not math.isfinite(float(origin.max()) + dims * h):  # Python floats: no warning
+        raise ValueError("grid extent overflows float64")
+    return dims, origin, h
 
 
 @dataclass
@@ -28,14 +47,9 @@ class OccupancyGrid:
     values: np.ndarray  # (D, D, D), axes (x, y, z)
 
     def __post_init__(self):
-        self.dims = int(self.dims)
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.cell_size = float(self.cell_size)
+        self.dims, self.origin, self.cell_size = _geometry(
+            self.dims, self.origin, self.cell_size)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.dims < 1:
-            raise ValueError("dims must be >= 1")
-        if not self.cell_size > 0:
-            raise ValueError("cell_size must be > 0")
         if self.values.shape != (self.dims,) * 3:
             raise ValueError(
                 f"values shape {self.values.shape} does not match dims {self.dims}")
@@ -52,11 +66,7 @@ def splat(ps, dims, origin, cell_size, clamp_points=True, saturate=True):
     pts = validate(ps)
     if len(pts) == 0:
         raise EmptySet()
-    dims = int(dims)
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    h = float(cell_size)
-    if dims < 1 or not h > 0:
-        raise ValueError("need dims >= 1 and cell_size > 0")
+    dims, origin, h = _geometry(dims, origin, cell_size)
     lo = origin
     hi = origin + dims * h
     outside = (pts < lo) | (pts > hi)
@@ -129,8 +139,5 @@ def iou(g1, g2):
 
 def grid_unit_scale(dims, cell_size):
     """One reporting unit = a tenth of the grid's side length: D * h / 10."""
-    dims = int(dims)
-    h = float(cell_size)
-    if dims < 1 or not h > 0:
-        raise ValueError("need dims >= 1 and cell_size > 0")
+    dims, _, h = _geometry(dims, (0, 0, 0), cell_size)
     return dims * h / 10.0

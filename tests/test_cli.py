@@ -82,8 +82,7 @@ def test_emd_exact_value_matching_grad(pair, tmp_path):
     a, b = pair
     match = tmp_path / "m.txt"
     grad = tmp_path / "g.xyz"
-    r = run_cli("emd", a, b, "--exact", "--dump-matching", str(match),
-                "--grad", str(grad))
+    r = run_cli("emd", a, b, "--dump-matching", str(match), "--grad", str(grad))
     assert r.returncode == 0
     assert r.stdout == "2.00000000000\n"  # 12 significant digits
     lines = match.read_text().splitlines()
@@ -112,30 +111,55 @@ def test_emd_default_route_small_is_exact(pair):
     assert "achieved_eps" not in obj
 
 
-def test_emd_auction_reports_achieved_eps(pair):
-    a, b = pair
-    r = run_cli("emd", a, b, "--auction", "--json")
-    assert r.returncode == 0
-    obj = json.loads(r.stdout)
+def run_auction(pair, monkeypatch, capsys, *flags):
+    """`psm emd --json` in-process, with the limit moved so 2 points take the
+    auction: (exit code, parsed stdout, stderr)."""
+    from psm import cli
+    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
+    code = cli.main(["emd", *pair, *flags, "--json"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+def test_emd_auction_reports_achieved_eps(pair, monkeypatch, capsys):
+    code, obj, err = run_auction(pair, monkeypatch, capsys)
+    assert code == 0
     assert obj["backend"] == "auction"
     assert obj["achieved_eps"] >= 0.0
     assert obj["params"] == {"target_rel_err": 0.01, "time_budget_s": 1.0}
-    assert "achieved_eps=" in r.stderr
+    assert "achieved_eps=" in err
     # sound on this instance: optimum is 2.0
     assert obj["value"] >= 2.0 - 1e-9
     assert obj["value"] <= 2.0 * (1.0 + obj["achieved_eps"]) + 1e-9
     assert obj["budget_relaxed"] is False
-    assert "budget_relaxed=False" in r.stderr
+    assert "budget_relaxed=False" in err
 
 
-def test_emd_auction_reports_budget_relaxation(pair):
-    a, b = pair
-    r = run_cli("emd", a, b, "--auction", "--budget-ms", "1e-6", "--json")
-    assert r.returncode == 0
-    obj = json.loads(r.stdout)
+def test_emd_auction_reports_budget_relaxation(pair, monkeypatch, capsys):
+    code, obj, err = run_auction(pair, monkeypatch, capsys, "--budget-ms", "1e-6")
+    assert code == 0
     assert obj["budget_relaxed"] is True
     assert obj["achieved_eps"] > obj["params"]["target_rel_err"]
-    assert "budget_relaxed=True" in r.stderr
+    assert "budget_relaxed=True" in err
+
+
+@pytest.mark.parametrize("flag", ["--exact", "--auction"])
+def test_emd_has_no_solver_option(pair, flag):
+    # the size picks the solver; library callers name one by function
+    r = run_cli("emd", *pair, flag)
+    assert r.returncode == 2
+    assert flag in r.stderr
+
+
+def test_emd_checks_auction_flags_on_every_route(pair):
+    # 2 points take the exact solver, which never reads the flags
+    r = run_cli("emd", *pair, "--eps", "-1", "--budget-ms", "-5")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: target_rel_err must be finite and > 0\n"
+    r = run_cli("emd", *pair, "--budget-ms", "nan")
+    assert r.returncode == 1
+    assert r.stderr == "error: time_budget_s must be > 0\n"
 
 
 def test_emd_default_route_is_the_library_rule(pair, monkeypatch, capsys):
@@ -149,8 +173,7 @@ def test_emd_default_route_is_the_library_rule(pair, monkeypatch, capsys):
 
 def test_emd_normalize_divides_by_size(pair):
     a, b = pair
-    obj = json.loads(run_cli("emd", a, b, "--exact", "--normalize",
-                             "--json").stdout)
+    obj = json.loads(run_cli("emd", a, b, "--normalize", "--json").stdout)
     assert obj["value"] == pytest.approx(1.0)
 
 
@@ -206,6 +229,34 @@ def test_voxelize_oversized_grid_is_domain_error(tmp_path):
                 str(tmp_path / "g.psgrid"))
     assert r.returncode == 1
     assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("geometry,message", [
+    (["--origin=nan,0,0"], "origin must be finite"),
+    (["--origin=inf,0,0"], "origin must be finite"),
+    (["--cell", "inf"], "cell_size must be finite and > 0"),
+])
+def test_voxelize_rejects_non_finite_geometry(tmp_path, geometry, message):
+    # such a grid would cover no finite cell, and read_grid refuses it
+    cloud = write(tmp_path / "c.xyz", "0.5 0.5 0.5\n")
+    out = tmp_path / "g.psgrid"
+    r = run_cli("voxelize", cloud, *geometry, "-o", str(out))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unit,message", [
+    ("32,inf", "cell_size must be finite and > 0"),
+    ("32,nan", "cell_size must be finite and > 0"),
+    ("32,1e308", "grid extent overflows float64"),
+])
+def test_grid_unit_rejects_non_finite_scale(pair, unit, message):
+    # an infinite scale would print `"scale": Infinity`, which is not JSON
+    r = run_cli("chamfer", *pair, "--grid-unit", unit, "--json")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 def test_voxelize_no_clamp_errors_on_outside_point(tmp_path):

@@ -8,9 +8,12 @@ import pytest
 import psm.core
 from psm import cli
 from psm import io as psio
-from psm.core import (RandomSource, as_points, bounding_box, ordered_map,
-                      resolve_threads, validate)
-from psm.errors import EmptySet, NonFiniteCoordinate
+from psm.chamfer import chamfer_distance
+from psm.core import (RandomSource, as_points, bounding_box, check_pair,
+                      ordered_map, resolve_threads, validate)
+from psm.emd import emd, emd_auction, emd_exact
+from psm.errors import (DistanceOverflow, EmptySet, NonFiniteCoordinate,
+                        SizeMismatch)
 from psm.losses import CandidateBundle, batch_loss, mon_loss
 from psm.meanshape import SgdConfig, ShapeDistributionSpec, optimize_mean_shape
 
@@ -51,6 +54,33 @@ def test_as_points_rejects_bad_shapes():
         as_points([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_points(np.zeros((2, 4)))
+
+
+def test_check_pair_order():
+    # a's finiteness, then b's, then emptiness, then sizes, then the span
+    nan, far = [(np.nan, 0, 0)], [(1e200, 0, 0), (-1e200, 0, 0)]
+    with pytest.raises(NonFiniteCoordinate):
+        check_pair(nan, [])
+    with pytest.raises(NonFiniteCoordinate):
+        check_pair([], nan)
+    with pytest.raises(EmptySet):
+        check_pair([], far, same_size=True)
+    with pytest.raises(SizeMismatch):
+        check_pair(far, far[:1], same_size=True)
+    with pytest.raises(DistanceOverflow):
+        check_pair(far, far[:1])
+    a, b = check_pair([(0, 0, 0)], [[1, 2, 3]], same_size=True)
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape == (1, 3)
+
+
+@pytest.mark.parametrize("metric", [emd, emd_exact, emd_auction, chamfer_distance])
+def test_metrics_validate_each_side_once(monkeypatch, metric):
+    calls = []
+    monkeypatch.setattr(psm.core, "validate",
+                        lambda ps: calls.append(1) or validate(ps))
+    rng = np.random.default_rng(3)
+    metric(rng.random((6, 3)), rng.random((6, 3)))
+    assert len(calls) == 2
 
 
 def test_bounding_box_examples():

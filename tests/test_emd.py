@@ -92,6 +92,16 @@ def test_exact_guard_and_size_checks():
         emd_exact(np.empty((0, 3)), np.empty((0, 3)))
 
 
+def test_every_route_reads_the_limit_at_call_time(monkeypatch):
+    # the exact solver refuses past the module's limit whoever calls it,
+    # and emd() moves to the auction there
+    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
+    a, b = pair(np.random.default_rng(33), 2)
+    with pytest.raises(InstanceTooLarge):
+        emd_exact(a, b)
+    assert emd(a, b).backend == "auction"
+
+
 def test_symmetry_and_permutation_invariance():
     rng = np.random.default_rng(33)
     for _ in range(20):

@@ -409,6 +409,16 @@ def test_write_grid_rejects_unsaturated(tmp_path):
         psio.write_grid(g, tmp_path / "g.grid")
 
 
+def test_write_grid_rejects_nan(tmp_path):
+    # read_grid refuses a written nan, so the writer must too
+    values = np.zeros((2, 2, 2))
+    values[1, 0, 1] = np.nan
+    g = OccupancyGrid(2, [0, 0, 0], 1.0, values)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        psio.write_grid(g, tmp_path / "g.grid")
+    assert not (tmp_path / "g.grid").exists()
+
+
 def test_grid_layout_z_fastest(tmp_path):
     # values[x, y, z]; the file flattens z fastest, one z-run per line
     vals = np.arange(8).reshape(2, 2, 2) / 10.0

@@ -55,6 +55,13 @@ def test_batch_error_names_the_pair():
     assert "pair 1" in str(exc.value)
 
 
+def test_batch_checks_its_metric_first():
+    # no pair runs the metric, so only an up-front check can catch it
+    for pairs in ([], [(np.zeros((1, 3)), np.zeros((1, 3)))]):
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            batch_loss(pairs, metric="bogus")
+
+
 def test_mon_single_candidate_equals_metric():
     rng = np.random.default_rng(75)
     gt = cloud(rng, 10)

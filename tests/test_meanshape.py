@@ -191,8 +191,8 @@ def test_emd_above_exact_limit_takes_the_auction(monkeypatch):
     emd_module = importlib.import_module("psm.emd")
     monkeypatch.setattr(emd_module, "EXACT_LIMIT", 8)
     calls = []
-    auction = emd_module.emd_auction
-    monkeypatch.setattr(emd_module, "emd_auction",
+    auction = emd_module._auction
+    monkeypatch.setattr(emd_module, "_auction",
                         lambda *args, **kw: calls.append(1) or auction(*args, **kw))
     spec = ShapeDistributionSpec("circle_radius", n_points=16)
     x, trace = optimize_mean_shape(

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from psm.chamfer import KdTree, _chamfer, _gradient, chamfer_distance
-from psm.emd import AuctionParams, _assign, _grads_from_perm, emd_auction, emd_exact
+from psm.emd import (AuctionParams, _assign, _auction, _grads_from_perm,
+                     emd_auction, emd_exact)
 from psm.sampling import farthest_point_sample
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
@@ -285,6 +286,22 @@ def test_assignment_kernel_equals_exact_in_3d_and_in_plane(pair):
         assert perm.tobytes() == assignment.perm.tobytes()
         assert cost.tobytes() == assignment.per_pair_cost.tobytes()
         assert float(np.sum(cost)) == res.value
+        grad_a = _grads_from_perm(ka, kb, perm)[0]
+        assert grad_a.tobytes() == first_columns(res.grad_a, ka.shape[1])
+
+
+@CHECKED
+@given(equal_size_pairs(max_size=48, kinds=PAIR_KINDS))
+def test_auction_kernel_equals_public_auction_in_3d_and_in_plane(pair):
+    # at s <= 48 no phase comes near the 1 s budget, so both runs take the
+    # same phases
+    for (ka, kb), (pa, pb) in kernel_and_public_args(*pair):
+        res, assignment, achieved = emd_auction(pa, pb, want_grad=True)
+        perm, cost, k_achieved, k_relaxed = _auction(ka, kb, AuctionParams())
+        assert perm.tobytes() == assignment.perm.tobytes()
+        assert cost.tobytes() == assignment.per_pair_cost.tobytes()
+        assert float(np.sum(cost)) == res.value
+        assert (k_achieved, k_relaxed) == (achieved, res.budget_relaxed)
         grad_a = _grads_from_perm(ka, kb, perm)[0]
         assert grad_a.tobytes() == first_columns(res.grad_a, ka.shape[1])
 

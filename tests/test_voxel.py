@@ -125,6 +125,11 @@ def test_splat_rejects_empty_and_bad_geometry():
         splat([(0, 0, 0)], 0, (0, 0, 0), 1.0)
     with pytest.raises(ValueError):
         splat([(0, 0, 0)], 4, (0, 0, 0), 0.0)
+    for origin, h in (((np.nan, 0, 0), 1.0), ((0, -np.inf, 0), 1.0),
+                      ((0, 0, 0), np.inf), ((0, 0, 0), np.nan),
+                      ((1e308, 0, 0), 1e308)):
+        with pytest.raises(ValueError):
+            splat([(0, 0, 0)], 4, origin, h)
 
 
 def test_binarize_thresholds():
@@ -191,6 +196,9 @@ def test_grid_unit_scale_values():
     assert grid_unit_scale(32, 1.0) == 3.2
     assert grid_unit_scale(10, 1.0) == 1.0
     assert grid_unit_scale(32, 0.5) == 1.6
+    for h in (0.0, -1.0, np.inf, np.nan, 1e308):  # D*h/10 must be finite too
+        with pytest.raises(ValueError):
+            grid_unit_scale(32, h)
 
 
 def test_occupancy_grid_shape_check():
@@ -198,3 +206,7 @@ def test_occupancy_grid_shape_check():
         OccupancyGrid(3, (0, 0, 0), 1.0, np.zeros((3, 3, 2)))
     with pytest.raises(ValueError):
         OccupancyGrid(2, (0, 0, 0), 0.0, np.zeros((2, 2, 2)))
+    for origin, h in (((0, np.nan, 0), 1.0), ((0, 0, np.inf), 1.0),
+                      ((0, 0, 0), np.inf)):
+        with pytest.raises(ValueError):
+            OccupancyGrid(2, origin, h, np.zeros((2, 2, 2)))
