@@ -30,7 +30,8 @@ _TIE_RTOL = 1e-12
 # m x n points scan while m n <= SCAN_LIMIT (m + n), else take the kd-tree.
 # CPU ms, scan / kd-tree, uniform 3-D (2-vCPU x86 guest, scipy 1.17): 512^2
 # 2.20 / 2.20, 640^2 3.29 / 2.85, 1024^2 12.9 / 4.0; 64 x 8192 5.18 / 12.1,
-# which a bare m n limit would send to the tree.
+# which a bare m n limit would send to the tree. One small side scans against
+# any other, in blocks of 2**18 distances (2 MiB) or of one longer row.
 SCAN_LIMIT = 256
 
 
@@ -91,9 +92,10 @@ class KdTree:
         return np.minimum.reduceat(np.where(d2 == d2min[rows], labels, len(self.points)), starts)
 
 
-def _nn_brute(q, pts, chunk=512):
-    """Chunked linear scan. Lowest index wins ties (argmin takes the first)."""
+def _nn_brute(q, pts):
+    """Scan 2**18 distances (2 MiB) or one query row at a time; ties go to the lowest index."""
     m = len(q)
+    chunk = max(1, 2**18 // len(pts))
     idx = np.empty(m, dtype=np.int64)
     d2min = np.empty(m)
     for lo in range(0, m, chunk):

@@ -20,7 +20,7 @@ from .chamfer import chamfer_distance
 from .core import resolve_threads
 from .emd import (EXACT_LIMIT, AuctionParams, default_backend, emd_auction,
                   emd_exact)
-from .losses import CandidateBundle, mon_loss
+from .losses import METRICS, CandidateBundle, mon_loss
 from .meanshape import (SgdConfig, corner_regions, emit_plot,
                         optimize_mean_shape)
 from .sampling import farthest_point_sample
@@ -312,7 +312,7 @@ def build_parser():
                        help="min-of-N loss over candidate clouds")
     p.add_argument("groundtruth", nargs="?")
     p.add_argument("candidates", nargs="*")
-    p.add_argument("--metric", choices=["cd", "emd"], default="cd")
+    p.add_argument("--metric", choices=METRICS, default="cd")
     p.add_argument("--bundle", metavar="MANIFEST.json",
                    help="JSON manifest with groundtruth/candidates/metric")
     p.set_defaults(func=_cmd_mon)
@@ -320,7 +320,7 @@ def build_parser():
     p = sub.add_parser("meanshape", parents=[common, threaded],
                        help="SGD mean shape of a shape distribution")
     p.add_argument("--spec", required=True, metavar="SPEC.json")
-    p.add_argument("--metric", choices=["cd", "emd"], default="cd")
+    p.add_argument("--metric", choices=METRICS, default="cd")
     p.add_argument("--steps", type=int, default=SgdConfig.steps)
     p.add_argument("--batch", type=int, default=SgdConfig.batch)
     p.add_argument("--lr", type=float, default=SgdConfig.lr0)

@@ -28,6 +28,7 @@ from .core import (RandomSource, check_span, ordered_map, resolve_threads,
 from .emd import _emd, default_backend
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
+from .losses import _check_metric
 
 FAMILY_DEFAULTS = {
     "circle_radius": {
@@ -94,6 +95,7 @@ def _validate_params(family, params):
             _check_xy(params, key)
         else:
             _require_number(params[key], key)
+            params[key] = float(params[key])  # an int radius would make int vertex arrays
     if family == "circle_radius":
         _require(params["r_min"] > 0, "r_min must be > 0")
         _require(params["r_max"] >= params["r_min"], "need r_min <= r_max")
@@ -163,49 +165,29 @@ def spec_from_dict(data):
 
 
 def _rect(cx, cy, w, h):
+    # the rectangle as a ring of vertices: the last repeats the first
     x0, x1 = cx - w / 2, cx + w / 2
     y0, y1 = cy - h / 2, cy + h / 2
-    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
 
 
-def _sample_pieces(pieces, n):
-    """n points uniform by arclength over a mix of polylines and circles,
+def _sample_pieces(outline, n):
+    """n points uniform by arclength over an outline's segments and circles,
     as an (n, 2) array of plane coordinates.
 
-    pieces: ('poly', vertices, closed) or ('circle', center, radius).
+    outline: (seg_a, seg_b, circles), the (k, 2) start and end points of its
+    line segments (k may be 0) and a list of (center, radius) pairs.
     Placement is deterministic: positions (i + 1/2) / n of the total
     arclength. All randomness in a drawn shape comes from its hidden
     variables (radius, corner, travel, disk presence), so a family with
     those pinned is a genuinely degenerate distribution.
     """
-    seg_a = []
-    seg_b = []
-    circles = []
-    for piece in pieces:
-        if piece[0] == "poly":
-            verts = np.asarray(piece[1], dtype=np.float64)
-            if piece[2]:  # closed: the last vertex joins the first
-                seg_a.append(verts)
-                seg_b.append(np.concatenate([verts[1:], verts[:1]]))
-            else:
-                seg_a.append(verts[:-1])
-                seg_b.append(verts[1:])
-        else:
-            circles.append((np.asarray(piece[1], dtype=np.float64), float(piece[2])))
-    if seg_a:
-        seg_a = seg_a[0] if len(seg_a) == 1 else np.concatenate(seg_a)
-        seg_b = seg_b[0] if len(seg_b) == 1 else np.concatenate(seg_b)
-        seg_d = seg_b - seg_a
-        # np.linalg.norm(seg_d, axis=1) computes exactly this
-        seg_len = np.sqrt(np.add.reduce(seg_d * seg_d, axis=1))
-    else:
-        seg_len = np.empty(0)
+    seg_a, seg_b, circles = outline
+    seg_d = seg_b - seg_a
+    # np.linalg.norm(seg_d, axis=1) computes exactly this
+    seg_len = np.sqrt(np.add.reduce(seg_d * seg_d, axis=1))
     nseg = len(seg_len)
-    lengths = seg_len
-    if circles:
-        lengths = np.array([2.0 * math.pi * r for _, r in circles])
-        if nseg:
-            lengths = np.concatenate([seg_len, lengths])
+    lengths = np.concatenate([seg_len, [2.0 * math.pi * r for _, r in circles]])
     total = lengths.sum()
     # a NaN length passes on to NaN points, which _check_outline rejects
     _require(lengths.any(), "shape outline has zero length")
@@ -282,24 +264,25 @@ def _extremes(spec):
 
 
 def _outline(spec, hidden):
-    """The outline pieces of the draw with this hidden variable."""
+    """The outline of the draw with this hidden variable: (seg_a, seg_b,
+    circles), as _sample_pieces takes it."""
     p = spec.params
     if spec.family == "circle_radius":
-        return [("circle", p["center"], hidden)]
+        return np.empty((0, 2)), np.empty((0, 2)), [(p["center"], hidden)]
     if spec.family == "spiky_arc":
         center = np.asarray(p["center"]) + hidden
         verts = _crown_vertices(center, p["radius"], p["theta_start_deg"],
                                 p["theta_end_deg"], p["n_spikes"], p["spike_height"])
-        return [("poly", verts, False)]
+        return verts[:-1], verts[1:], []
     cx, cy = p["center"]
-    pieces = [("poly", _rect(cx, cy, p["bar_width"], p["bar_height"]), True)]
+    bar = _rect(cx, cy, p["bar_width"], p["bar_height"])
     if spec.family == "corner_square":
         box = corner_regions(spec)[hidden]
-        pieces.append(("poly", _rect((box[0] + box[2]) / 2, (box[1] + box[3]) / 2,
-                                     box[2] - box[0], box[3] - box[1]), True))
-    elif hidden:
-        pieces.append(("circle", p["disk_center"], p["disk_radius"]))
-    return pieces
+        square = _rect((box[0] + box[2]) / 2, (box[1] + box[3]) / 2,
+                       box[2] - box[0], box[3] - box[1])
+        return np.concatenate([bar[:-1], square[:-1]]), np.concatenate([bar[1:], square[1:]]), []
+    disk = [(p["disk_center"], p["disk_radius"])] if hidden else []
+    return bar[:-1], bar[1:], disk
 
 
 def _points(spec, hidden):
@@ -308,19 +291,23 @@ def _points(spec, hidden):
 
 
 def _check_outline(spec):
-    """Reject parameters whose outline length or coordinates overflow float64.
-
+    """Reject parameters whose outline float64 cannot hold: its length or
+    coordinates overflow, or its sizes round away beside its coordinates.
     The key named is the largest-magnitude length parameter, the one that
-    drove the overflow. Overflow is checked on the extreme draws, silently.
+    drove the overflow or swamped the sizes; the extreme draws are checked.
     """
     with np.errstate(all="ignore"):
-        finite = all(np.isfinite(_points(spec, h)).all() for h in _extremes(spec))
+        try:
+            finite = all(np.isfinite(_points(spec, h)).all() for h in _extremes(spec))
+        except InvalidParameter:  # the outline has zero length
+            finite = None
     if not finite:
         lengths = {k: np.abs(v).max() for k, v in spec.params.items()
                    if k not in ("theta_start_deg", "theta_end_deg", "n_spikes", "p_disk")}
         key = max(lengths, key=lengths.get)
-        raise InvalidParameter(f"{key} is too large: the {spec.family} outline "
-                               "overflows float64")
+        if finite is None:  # key may be too small or too large: its scale is off
+            raise InvalidParameter(f"{key}: the {spec.family} outline rounds to zero length")
+        raise InvalidParameter(f"{key} is too large: the {spec.family} outline overflows float64")
 
 
 def draw_shape(spec, rng):
@@ -350,8 +337,7 @@ class SgdConfig:
     seed: int = 0
 
     def check(self):
-        if self.metric not in ("cd", "emd"):
-            raise ValueError(f"unknown metric {self.metric!r}; expected 'cd' or 'emd'")
+        _check_metric(self.metric)
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be >= 1")
         if not self.lr0 > 0 or not self.t_half > 0:

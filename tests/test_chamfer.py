@@ -6,6 +6,7 @@ gradient is assembled term by term. Everything else is checked against it.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,24 @@ def test_default_route_follows_the_size_rule(monkeypatch, m, n, route):
     spec = ShapeDistributionSpec("circle_radius", n_points=n)
     optimize_mean_shape(spec, SgdConfig(steps=1, batch=1, m=m))
     assert routes == [route] * 6
+
+
+def test_scan_memory_is_bounded_beside_a_huge_set():
+    # 256 x 50000 takes the scan, which holds 2**18 distances (2 MiB) at a time
+    rng = np.random.default_rng(25)
+    a, b = rng.random((256, 3)), rng.random((50000, 3))
+    tracemalloc.start()
+    try:
+        res = chamfer_distance(a, b, want_grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.backend == "brute"
+    assert peak <= 8 * 2**20
+    ref = chamfer_distance(a, b, want_grad=True, backend="kdtree")
+    assert np.float64(res.value).tobytes() == np.float64(ref.value).tobytes()
+    assert res.grad_a.tobytes() == ref.grad_a.tobytes()
+    assert res.grad_b.tobytes() == ref.grad_b.tobytes()
 
 
 # ---------------------------------------------------------------- kd-tree

@@ -39,6 +39,9 @@ def test_spec_defaults_and_overrides():
     spec = ShapeDistributionSpec("circle_radius", params={"r_min": 0.3})
     assert spec.params["r_min"] == 0.3
     assert spec.params["r_max"] == FAMILY_DEFAULTS["circle_radius"]["r_max"]
+    spec = ShapeDistributionSpec("spiky_arc", params={"radius": 1})  # JSON int
+    assert spec.params["radius"] == 1.0
+    assert draw_shape(spec, RandomSource(0)).shape == (256, 3)
 
 
 def test_spec_rejects_bad_input():
@@ -54,6 +57,9 @@ def test_spec_rejects_bad_input():
         ShapeDistributionSpec("bar_disk", params={"p_disk": 1.5})
     with pytest.raises(InvalidParameter):
         ShapeDistributionSpec("circle_radius", n_points=0)
+    # beside a 1e300 offset the crown's vertices round to one point
+    with pytest.raises(InvalidParameter, match="^travel: .* zero length"):
+        ShapeDistributionSpec("spiky_arc", params={"travel": 1e300})
 
 
 def test_spec_from_dict_flat_schema():

@@ -7,13 +7,18 @@ and within sets), collinear and coplanar sets, a 1e8 offset, magnitudes
 near both ends of float64's range, one or two points, and all points equal.
 The assignment solvers also meet near-coincident pairs: a cloud and a copy
 moved by far less than float64 resolves at its spread.
+Shape-distribution specs meet JSON values of every type and float64's
+extremes.
 Examples are derandomized and kept out of any database, so every run checks
 the same examples.
 """
 
 import itertools
+import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -21,6 +26,8 @@ from scipy.spatial.distance import cdist
 from psm.chamfer import KdTree, _chamfer, _gradient, chamfer_distance
 from psm.emd import (AuctionParams, _assign, _auction, _grads_from_perm,
                      emd_auction, emd_exact)
+from psm.errors import InvalidParameter
+from psm.meanshape import FAMILY_DEFAULTS, _extremes, _points, spec_from_dict
 from psm.sampling import farthest_point_sample
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
@@ -328,3 +335,40 @@ def test_auction_flags_every_missed_target(pair, target):
     assert sorted(assignment.perm.tolist()) == list(range(len(a)))
     assert achieved <= target or res.budget_relaxed is True
     assert exact * (1 - SUM_RTOL) <= res.value <= (1 + achieved) * exact * (1 + SUM_RTOL)
+
+
+# ------------------------------------------------------------- shape specs
+
+FLOAT_EXTREMES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308,
+                                  math.nan, math.inf, -math.inf])
+# counts stay at 4096 or below, so no example allocates more than a few MiB
+COUNTS = st.one_of(st.integers(-4096, 4096), st.floats(-4096, 4096), FLOAT_EXTREMES)
+NUMBERS = st.one_of(st.floats(), FLOAT_EXTREMES, st.integers())
+OTHER_JSON = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                       st.lists(st.one_of(NUMBERS, st.none(), st.text(max_size=2)),
+                                max_size=3))
+
+
+def spec_values(key, default):
+    """Any JSON value for this key, weighted toward ones of the right type."""
+    if key in ("n_points", "n_spikes"):
+        return st.one_of(COUNTS, OTHER_JSON)
+    if isinstance(default, list):
+        return st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), NUMBERS, OTHER_JSON)
+    return st.one_of(NUMBERS, OTHER_JSON)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_DEFAULTS))
+@CHECKED
+@given(data=st.data())
+def test_spec_builds_finite_outlines_or_names_a_key(family, data):
+    keys = {**FAMILY_DEFAULTS[family], "n_points": 256, "seed": 0}
+    fields = data.draw(st.fixed_dictionaries(
+        {}, optional={k: spec_values(k, v) for k, v in keys.items()}))
+    try:
+        spec = spec_from_dict({"family": family, **fields})
+    except InvalidParameter as e:
+        assert any(re.search(rf"\b{k}\b", str(e)) for k in keys), str(e)
+        return
+    for h in _extremes(spec):
+        assert np.isfinite(_points(spec, h)).all()
