@@ -27,29 +27,42 @@ from .errors import EmptySet
 # distance; candidates this close (relative) to the best are rescored exactly
 _TIE_RTOL = 1e-12
 
+# a tied row's nearest this many are rescored exactly before any ball query
+# (16384-point surface clouds on a 1/64 lattice: 4 leave 778 of 4749 tied
+# rows to the ball, 6 leave 5 and 8 none)
+REPAIR_K = 8
+
 # m x n points scan while m n <= SCAN_LIMIT (m + n), else take the kd-tree.
-# CPU ms, scan / kd-tree, uniform 3-D (2-vCPU x86 guest, scipy 1.17): 512^2
-# 2.20 / 2.20, 640^2 3.29 / 2.85, 1024^2 12.9 / 4.0; 64 x 8192 5.18 / 12.1,
-# which a bare m n limit would send to the tree. One small side scans against
-# any other, in blocks of 2**18 distances (2 MiB) or of one longer row.
+# CPU ms, scan / kd-tree, median of 5 medians of 9 runs (2-vCPU x86 guest,
+# scipy 1.17), uniform 3-D and then the same points on a 1/16 lattice: 512^2
+# 1.03 / 0.93 and 1.07 / 1.94; 640^2 1.64 / 1.25 and 1.62 / 2.37; 768^2
+# 5.18 / 1.45 and 5.18 / 3.09; 1024^2 6.96 / 2.00 and 6.99 / 4.18; 64 x 8192
+# 5.25 / 4.95 and 5.26 / 6.76, which a bare m n limit would send to the tree.
+# Uniform rows cross below 512^2 and lattice rows above 640^2, so the limit
+# stays between them. One small side scans against any other, in blocks of
+# 2**18 distances (2 MiB) or of one longer row.
 SCAN_LIMIT = 256
 
 
 def _sqdist(q, p):
-    """Squared distances between paired rows, summed (dx^2 + dy^2) + dz^2 and
-    so on: cdist's sqeuclidean order, so they equal the scan's bit for bit."""
+    """Squared distances between paired rows (along the last axis, with
+    broadcasting), summed (dx^2 + dy^2) + dz^2 and so on: cdist's
+    sqeuclidean order, so they equal the scan's bit for bit."""
     d = q - p
     d *= d
-    return sum(d.T[1:], d[:, 0])
+    return sum(np.moveaxis(d, -1, 0)[1:], d[..., 0])
 
 
 class KdTree:
     """Exact nearest-neighbor index: scipy's cKDTree plus an exact tie repair.
 
-    The tree holds each distinct point once, labelled with its lowest index.
-    Where cKDTree's two nearest differ by more than rounding, the first is
-    the nearest; otherwise every point in a ball just wider than the best
-    distance is rescored exactly, and the lowest index wins ties.
+    The tree holds each distinct point once, labelled with its lowest index;
+    points are deduplicated only when some first coordinate repeats, since
+    equal rows cannot exist otherwise. Where cKDTree's two nearest differ by
+    more than rounding, the first is the nearest. Otherwise the row's
+    REPAIR_K nearest are rescored exactly and the lowest index wins ties;
+    only a row whose REPAIR_K-th neighbour still lies within reach of the
+    best rescores every point of a ball just wider than the best distance.
     """
 
     def __init__(self, points, _checked=False):
@@ -57,12 +70,20 @@ class KdTree:
         if len(pts) == 0:
             raise EmptySet()
         self.points = pts
-        # lexsort is stable: the first of each run of equal rows has the lowest index
-        order = np.lexsort(pts.T[::-1])
-        run = pts[order]
-        first = np.r_[True, (run[1:] != run[:-1]).any(axis=1)]
-        self.labels = order[first]
-        self.tree = cKDTree(run[first])
+        first_coord = np.sort(pts[:, 0])
+        if (first_coord[1:] == first_coord[:-1]).any():  # else no two rows are equal
+            # lexsort is stable: the first of each run of equal rows has the lowest index
+            order = np.lexsort(pts.T[::-1])
+            run = pts[order]
+            first = np.r_[True, (run[1:] != run[:-1]).any(axis=1)]
+            self.labels = order[first]
+            distinct = run[first]
+        else:
+            self.labels = np.arange(len(pts))
+            distinct = pts
+        # sliding-midpoint splits build in 3.5 ms instead of 5.0 on 16384 surface
+        # points, and query as fast; the neighbours found are the same
+        self.tree = cKDTree(distinct, balanced_tree=False)
 
     def query(self, points, _checked=False):
         """Exact nearest neighbors: (indices, squared distances)."""
@@ -81,7 +102,21 @@ class KdTree:
 
     def _repair(self, q, reach):
         """Exact lowest-index nearest neighbors among the points within reach:
-        the point cKDTree found and every point that could tie or beat it."""
+        the point cKDTree found and every point that could tie or beat it.
+        Those are all among a row's REPAIR_K nearest when the REPAIR_K-th lies
+        beyond reach; the margin on reach absorbs any rounding difference
+        between cKDTree's k-nearest and ball distances."""
+        d, j = self.tree.query(q, k=min(REPAIR_K, self.tree.n))
+        labels = self.labels[j]
+        d2 = _sqdist(q[:, None], self.points[labels])
+        best = np.where(d2 == d2.min(axis=1, keepdims=True), labels, len(self.points)).min(axis=1)
+        full = np.flatnonzero(d[:, -1] <= reach * (1 + _TIE_RTOL))
+        if len(full):
+            best[full] = self._ball(q[full], reach[full])
+        return best
+
+    def _ball(self, q, reach):
+        """_repair over every point in each row's ball of radius reach."""
         balls = self.tree.query_ball_point(q, reach)
         counts = np.array([len(b) for b in balls])
         labels = self.labels[np.concatenate(balls)]

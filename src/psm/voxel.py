@@ -9,6 +9,9 @@ point and deposits into each of the up-to-8 overlapped cells the fraction of
 the point cube's volume falling inside, i.e. trilinear weights. Weights that
 fall outside the grid are discarded, so only points whose cube lies fully
 inside conserve their unit of mass.
+
+Every grid's cell spans at least RESOLUTION float64 steps of its
+coordinates; a grid with finer cells is refused wherever one is made.
 """
 
 import math
@@ -20,11 +23,18 @@ from .core import validate
 from .errors import (EmptySet, GridMismatch, InvalidThreshold, NonBinaryGrid,
                      PointOutsideGrid)
 
+# A cell must span this many float64 steps of the grid's coordinates, so a
+# point's place within its cell, and so its trilinear weights, resolve to
+# 1/RESOLUTION of a cell or finer. Finer cells are refused: at origin 1e15
+# doubles lie 0.125 apart, and a 0.01 cell could hold no point inside it.
+RESOLUTION = 1024
+
 
 def _geometry(dims, origin, cell_size):
     """(dims, origin, cell size) as int, (3,) float64 and float, checked:
-    dims >= 1, a finite origin, a finite cell size > 0 and a finite far
-    corner."""
+    dims >= 1, a finite origin, a finite cell size > 0, a finite far corner
+    and a cell at least RESOLUTION float64 steps wide at the coordinate of
+    largest magnitude in the grid."""
     dims = int(dims)
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     h = float(cell_size)
@@ -36,6 +46,10 @@ def _geometry(dims, origin, cell_size):
         raise ValueError("cell_size must be finite and > 0")
     if not math.isfinite(float(origin.max()) + dims * h):  # Python floats: no warning
         raise ValueError("grid extent overflows float64")
+    corner = max(abs(float(origin.min())), abs(float(origin.max()) + dims * h))
+    if h < RESOLUTION * math.ulp(corner):
+        raise ValueError(f"cell_size {h!r} is below {RESOLUTION} float64 steps at "
+                         f"coordinate {corner!r}; points cannot be placed within a cell")
     return dims, origin, h
 
 

@@ -322,6 +322,41 @@ def test_kdtree_many_exact_ties():
         assert d2[qi] == want_d
 
 
+def sphere_shell(r2):
+    """Every integer point at squared distance r2 from the origin."""
+    r = int(np.sqrt(r2))
+    return [p for p in itertools.product(range(-r, r + 1), repeat=3)
+            if p[0] ** 2 + p[1] ** 2 + p[2] ** 2 == r2]
+
+
+@pytest.mark.parametrize("r2,ball", [(1, False), (25, True)])
+def test_kdtree_ties_past_repair_k_take_the_ball(monkeypatch, r2, ball):
+    # the origin is equidistant from the 6 points at squared distance 1,
+    # which the REPAIR_K nearest settle, and from the 30 at 25, which they
+    # cannot: that row must reach the ball query
+    shell = sphere_shell(r2)
+    assert (len(shell) > chamfer_module.REPAIR_K) == ball
+    rng = np.random.default_rng(24)
+    far = 1.5 * np.array(shell, dtype=np.float64)
+    pts = np.vstack([far, np.array(shell, dtype=np.float64)[rng.permutation(len(shell))]])
+    calls = []
+    real_ball = KdTree._ball
+
+    def spy(self, q, reach):
+        calls.append(len(q))
+        return real_ball(self, q, reach)
+
+    monkeypatch.setattr(KdTree, "_ball", spy)
+    queries = np.array([(0.0, 0, 0), (0.1, 0.2, 0.3)])
+    idx, d2 = KdTree(pts).query(queries)
+    for qi in range(len(queries)):
+        want_j, want_d = nn_loop(queries[qi], pts)
+        assert idx[qi] == want_j
+        assert d2[qi] == want_d
+    assert idx[0] == len(shell)
+    assert calls == ([1] if ball else [])
+
+
 # ----------------------------------------------------------------- errors
 
 def test_empty_inputs_rejected():

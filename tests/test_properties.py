@@ -1,5 +1,6 @@
-"""Property tests on adversarial clouds: Chamfer backends and gradients, FPS
-and the assignment solvers.
+"""Property tests on adversarial clouds: Chamfer backends and gradients, FPS,
+the assignment solvers, min-of-N, and the voxel path (splat, binarize, iou
+and the grid file).
 
 Clouds come in the shapes that break nearest-neighbor searches and greedy
 samplers: duplicated points, 1/64 and integer lattices (exact ties between
@@ -8,7 +9,8 @@ near both ends of float64's range, one or two points, and all points equal.
 The assignment solvers also meet near-coincident pairs: a cloud and a copy
 moved by far less than float64 resolves at its spread.
 Shape-distribution specs meet JSON values of every type and float64's
-extremes.
+extremes; grids meet large origins, tiny and huge cells, -0.0 and
+subnormal values.
 Examples are derandomized and kept out of any database, so every run checks
 the same examples.
 """
@@ -24,11 +26,14 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from psm.chamfer import KdTree, _chamfer, _gradient, chamfer_distance
-from psm.emd import (AuctionParams, _assign, _auction, _grads_from_perm,
+from psm.emd import (AuctionParams, _assign, _auction, _grads_from_perm, emd,
                      emd_auction, emd_exact)
 from psm.errors import InvalidParameter
+from psm.io import read_grid, write_grid
+from psm.losses import CandidateBundle, mon_loss
 from psm.meanshape import FAMILY_DEFAULTS, _extremes, _points, spec_from_dict
 from psm.sampling import farthest_point_sample
+from psm.voxel import RESOLUTION, OccupancyGrid, binarize, iou, splat
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
          "coplanar", "offset", "huge", "tiny", "identical")
@@ -168,6 +173,18 @@ def test_fps_equals_rowsum_greedy(kind, n, seed, data):
     start = data.draw(st.integers(0, n - 1))
     got = farthest_point_sample(pts, k, start_index=start)
     assert got.tobytes() == fps_rowsum(pts, k, start).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fps_equals_rowsum_greedy_at_scale(kind):
+    # the property above stops at 48 points; at 4096 the picks' slabs cover
+    # a small share of the cloud, so a slab that missed a point it should
+    # rescore would change a later pick
+    rng = np.random.default_rng([60, KINDS.index(kind)])
+    pts = make_cloud(kind, 4096, rng)
+    start = int(rng.integers(len(pts)))
+    got = farthest_point_sample(pts, 256, start_index=start)
+    assert got.tobytes() == fps_rowsum(pts, 256, start).tobytes()
 
 
 def covering_radius(pts, centers):
@@ -372,3 +389,111 @@ def test_spec_builds_finite_outlines_or_names_a_key(family, data):
         return
     for h in _extremes(spec):
         assert np.isfinite(_points(spec, h)).all()
+
+
+# ---------------------------------------------------------------- min-of-N
+
+@CHECKED
+@given(st.sampled_from(KINDS), st.sampled_from(["cd", "emd"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_mon_loss_is_the_first_minimum_of_its_candidates(kind, metric, seed, data):
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 24))
+    gt = make_cloud(kind, n, rng)
+    cands = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        how = data.draw(st.sampled_from(["new", "copy", "negative zeros"])) if cands else "new"
+        if how == "new":
+            size = n if metric == "emd" else data.draw(st.integers(1, 24))
+            cands.append(make_cloud(kind, size, rng))
+            continue
+        c = cands[data.draw(st.integers(0, len(cands) - 1))].copy()
+        if how == "negative zeros":  # equal values, other bytes
+            c[c == 0] = -0.0
+        cands.append(c)
+    value, idx = mon_loss(CandidateBundle(cands, gt, metric=metric))
+    metric_fn = chamfer_distance if metric == "cd" else emd
+    values = [metric_fn(c, gt).value for c in cands]
+    assert value == min(values)
+    assert idx == values.index(min(values))
+
+
+# --------------------------------------------------------------- voxel path
+
+ORIGINS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e8, -1e12, 1e15, 3e300]),
+                    st.floats(-1e6, 1e6))
+CELLS = st.one_of(st.sampled_from([1e-320, 1e-300, 1e-12, 0.01, 1.0, 1e12]),
+                  st.floats(1e-12, 1e12))
+GRID_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                                         0.5, 1 - 2**-53, 1.0]),
+                        st.floats(0.0, 1.0))
+
+
+def far_corner(dims, origin, h):
+    return max(abs(min(origin)), abs(max(origin) + dims * h))
+
+
+@CHECKED
+@given(st.integers(3, 6), st.tuples(ORIGINS, ORIGINS, ORIGINS), CELLS,
+       st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_splat_conserves_interior_mass_or_refuses_the_grid(dims, origin, h, n, seed):
+    try:
+        OccupancyGrid(dims, origin, h, np.zeros((dims,) * 3))
+    except ValueError as e:
+        # refused only for an extent past float64 or a cell it cannot resolve
+        corner = far_corner(dims, origin, h)
+        assert not math.isfinite(corner) or h < RESOLUTION * math.ulp(corner), str(e)
+        return
+    rng = np.random.default_rng(seed)
+    # cell index 1 .. dims - 2 plus a fraction: each point's cube lies half a
+    # cell inside the grid, which the rounding of one float64 step cannot undo
+    cells = rng.integers(1, dims - 1, size=(n, 3)) + rng.random((n, 3))
+    pts = np.asarray(origin) + cells * h
+    g = splat(pts, dims, origin, h, saturate=False)
+    assert g.values.min() >= 0.0
+    # each point's eight weights sum to 1 up to a few roundings apiece
+    assert abs(g.values.sum() - n) <= n * 2.0**-44
+
+
+def binary_grid(data, dims):
+    """A 0/1 grid whose zeros carry either sign."""
+    cells = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]),
+                               min_size=dims**3, max_size=dims**3))
+    return OccupancyGrid(dims, (0, 0, 0), 1.0, np.reshape(cells, (dims,) * 3))
+
+
+@CHECKED
+@given(st.integers(1, 4), st.data())
+def test_iou_is_symmetric_and_in_the_unit_interval(dims, data):
+    a, b = binary_grid(data, dims), binary_grid(data, dims)
+    v = iou(a, b)
+    assert v == iou(b, a)
+    assert 0.0 <= v <= 1.0
+    assert iou(a, a) == 1.0
+
+
+@CHECKED
+@given(st.integers(1, 4), st.one_of(GRID_VALUES, st.sampled_from([0.0, 1.0])), st.data())
+def test_binarize_is_idempotent(dims, threshold, data):
+    cells = data.draw(st.lists(GRID_VALUES, min_size=dims**3, max_size=dims**3))
+    g = OccupancyGrid(dims, (0, 0, 0), 1.0, np.reshape(cells, (dims,) * 3))
+    once = binarize(g, threshold)
+    assert np.array_equal(once.values, g.values >= threshold)
+    assert binarize(once, threshold).values.tobytes() == once.values.tobytes()
+
+
+@CHECKED
+@given(st.integers(1, 4), st.tuples(ORIGINS, ORIGINS, ORIGINS), CELLS, st.data())
+def test_grid_file_round_trips_bit_for_bit(tmp_path_factory, dims, origin, h, data):
+    cells = data.draw(st.lists(GRID_VALUES, min_size=dims**3, max_size=dims**3))
+    try:
+        g = OccupancyGrid(dims, origin, h, np.reshape(cells, (dims,) * 3))
+    except ValueError:
+        return  # the geometry property above covers the refusals
+    path = tmp_path_factory.mktemp("grid") / "g.psgrid"
+    write_grid(g, path)
+    back = read_grid(path)
+    assert back.dims == dims
+    assert back.origin.tobytes() == g.origin.tobytes()
+    assert np.float64(back.cell_size).tobytes() == np.float64(h).tobytes()
+    assert back.values.tobytes() == g.values.tobytes()

@@ -87,6 +87,21 @@ def test_fps_tie_breaks_to_lowest_index():
     assert out[1, 0] == 0.0
 
 
+def test_fps_rescores_a_point_at_the_slab_edge():
+    # After s, f1 and f2 the pick is p, at the largest min distance M = 1.
+    # q lies 0.9999 from p along x, the widest axis: p lowers q's squared
+    # min distance from 0.99990001 to 0.99980001, below w's 0.99985, so w is
+    # picked next. A slab narrower than 0.9999 sqrt(M) would miss q and pick it.
+    h = 0.75 ** 0.5
+    s, f1, f2 = (0.0, 0, 0), (-100.0, 0, 0), (100.0, 0, 0)
+    p, q = (0.5, h, 0.0), (0.5 - 0.9999, h, 0.0)
+    w = (0.0, -(0.99985 ** 0.5), 0.0)
+    pts = np.array([s, f1, f2, p, q, w])
+    out = farthest_point_sample(pts, 6, start_index=0)
+    assert np.array_equal(out, pts[fps_reference(pts.tolist(), 6, 0)])
+    assert out[:5].tolist() == [list(v) for v in (s, f1, f2, p, w)]
+
+
 def test_fps_two_approximation_of_kcenter():
     rng = np.random.default_rng(52)
     for trial in range(8):

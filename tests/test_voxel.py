@@ -6,9 +6,10 @@ than the fractional-coordinate weights used by the implementation.
 import numpy as np
 import pytest
 
+from psm.io import read_grid
 from psm.errors import (EmptySet, GridMismatch, InvalidThreshold,
                         NonBinaryGrid, PointOutsideGrid)
-from psm.voxel import OccupancyGrid, binarize, grid_unit_scale, iou, splat
+from psm.voxel import RESOLUTION, OccupancyGrid, binarize, grid_unit_scale, iou, splat
 
 
 def splat_oracle(point, dims, origin, h):
@@ -199,6 +200,24 @@ def test_grid_unit_scale_values():
     for h in (0.0, -1.0, np.inf, np.nan, 1e308):  # D*h/10 must be finite too
         with pytest.raises(ValueError):
             grid_unit_scale(32, h)
+
+
+def test_cells_float64_cannot_resolve_are_refused(tmp_path):
+    # at 1e15 doubles lie 0.125 apart: no point could lie inside a 0.01 cell
+    with pytest.raises(ValueError, match="1024 float64 steps"):
+        splat([(1e15, 1e15, 1e15)], 8, (1e15, 1e15, 1e15), 0.01)
+    with pytest.raises(ValueError, match="float64 steps"):
+        OccupancyGrid(2, (-1e15, 0, 0), 0.01, np.zeros((2, 2, 2)))
+    p = tmp_path / "g.psgrid"
+    p.write_text("PSGRID 1\n1 1 1\n1e15 0 0\n0.01\n1\n")
+    with pytest.raises(ValueError, match="float64 steps"):
+        read_grid(p)
+    # the limit sits at the grid's coordinate of largest magnitude, the far corner here
+    h = RESOLUTION * 0.125
+    g = splat([(1e15 + 1.5 * h,) * 3], 4, (1e15 - 2 * h,) * 3, h, saturate=False)
+    assert g.values.sum() == 1.0
+    with pytest.raises(ValueError, match="float64 steps"):
+        splat([(0.0, 0, 0)], 4, (1e15 - 2 * h, 0, 0), h * (1 - 2**-52))
 
 
 def test_occupancy_grid_shape_check():
