@@ -27,10 +27,15 @@ from .errors import EmptySet
 # distance; candidates this close (relative) to the best are rescored exactly
 _TIE_RTOL = 1e-12
 
-# a tied row's nearest this many are rescored exactly before any ball query
-# (16384-point surface clouds on a 1/64 lattice: 4 leave 778 of 4749 tied
-# rows to the ball, 6 leave 5 and 8 none)
+# a tied row's nearest this many are rescored exactly first (16384-point
+# surface clouds on a 1/64 lattice: 4 leave 778 of 4749 tied rows unsettled,
+# 6 leave 5 and 8 none)
 REPAIR_K = 8
+
+# an unsettled row's k grows by this factor. 4000 queries at cube-cell centres
+# of a 24^3 grid, 8 equidistant points each, took 22 CPU ms; 31 with 3 and 36
+# with 4 (2-vCPU x86 guest, scipy 1.17)
+_WIDEN = 2
 
 # m x n points scan while m n <= SCAN_LIMIT (m + n), else take the kd-tree.
 # CPU ms, scan / kd-tree, median of 5 medians of 9 runs (2-vCPU x86 guest,
@@ -59,10 +64,8 @@ class KdTree:
     The tree holds each distinct point once, labelled with its lowest index;
     points are deduplicated only when some first coordinate repeats, since
     equal rows cannot exist otherwise. Where cKDTree's two nearest differ by
-    more than rounding, the first is the nearest. Otherwise the row's
-    REPAIR_K nearest are rescored exactly and the lowest index wins ties;
-    only a row whose REPAIR_K-th neighbour still lies within reach of the
-    best rescores every point of a ball just wider than the best distance.
+    more than rounding, the first is the nearest; otherwise _repair settles
+    the row from its k nearest, k widening from REPAIR_K.
     """
 
     def __init__(self, points, _checked=False):
@@ -96,35 +99,28 @@ class KdTree:
         idx = self.labels[j[:, 0]]
         # with one distinct point the second distance is inf: never a tie
         tied = np.flatnonzero(d[:, 1] <= d[:, 0] * (1 + _TIE_RTOL))
-        if len(tied):
-            idx[tied] = self._repair(q[tied], d[tied, 0] * (1 + _TIE_RTOL))
+        idx[tied] = self._repair(q[tied], d[tied, 0] * (1 + _TIE_RTOL))
         return idx, _sqdist(q, self.points[idx])
 
     def _repair(self, q, reach):
-        """Exact lowest-index nearest neighbors among the points within reach:
-        the point cKDTree found and every point that could tie or beat it.
-        Those are all among a row's REPAIR_K nearest when the REPAIR_K-th lies
-        beyond reach; the margin on reach absorbs any rounding difference
-        between cKDTree's k-nearest and ball distances."""
-        d, j = self.tree.query(q, k=min(REPAIR_K, self.tree.n))
-        labels = self.labels[j]
-        d2 = _sqdist(q[:, None], self.points[labels])
-        best = np.where(d2 == d2.min(axis=1, keepdims=True), labels, len(self.points)).min(axis=1)
-        full = np.flatnonzero(d[:, -1] <= reach * (1 + _TIE_RTOL))
-        if len(full):
-            best[full] = self._ball(q[full], reach[full])
+        """Exact lowest-index nearest neighbors: each row's k nearest are
+        rescored exactly, ties to the lowest index, and k grows by _WIDEN
+        until the k-th lies beyond reach * (1 + _TIE_RTOL) or k covers the
+        tree. That margin is the one rounding argument: cKDTree's distances
+        are a few ulps off exact, so a point past the k-th neighbour is
+        farther than the best exact distance and can neither tie nor beat it.
+        """
+        best = np.empty(len(q), dtype=np.int64)
+        rows, k = np.arange(len(q)), min(REPAIR_K, self.tree.n)
+        while len(rows):  # k >= 2 (a tie needs two distinct points): d, j are 2-D
+            d, j = self.tree.query(q[rows], k=k)
+            labels = self.labels[j]
+            d2 = _sqdist(q[rows, None], self.points[labels])
+            best[rows] = np.where(d2 == d2.min(axis=1, keepdims=True), labels,
+                                  len(self.points)).min(axis=1)
+            rows = rows[(d[:, -1] <= reach[rows] * (1 + _TIE_RTOL)) & (k < self.tree.n)]
+            k = min(k * _WIDEN, self.tree.n)
         return best
-
-    def _ball(self, q, reach):
-        """_repair over every point in each row's ball of radius reach."""
-        balls = self.tree.query_ball_point(q, reach)
-        counts = np.array([len(b) for b in balls])
-        labels = self.labels[np.concatenate(balls)]
-        starts = np.cumsum(counts) - counts
-        rows = np.repeat(np.arange(len(q)), counts)
-        d2 = _sqdist(q[rows], self.points[labels])
-        d2min = np.minimum.reduceat(d2, starts)
-        return np.minimum.reduceat(np.where(d2 == d2min[rows], labels, len(self.points)), starts)
 
 
 def _nn_brute(q, pts):

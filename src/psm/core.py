@@ -41,6 +41,14 @@ def validate(ps):
     return a
 
 
+def as_int(value, name):
+    """value as an int: Python and numpy integers pass; bools, floats and
+    strings raise TypeError instead of being truncated or parsed."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_span(a, b):
     """Raise DistanceOverflow if a squared distance between a and b could overflow."""
     if max(np.abs(a).max(), np.abs(b).max()) <= _SAFE_COORD:
@@ -127,8 +135,8 @@ class DistanceResult:
 def resolve_threads(threads=None):
     """Thread count: explicit argument, then PSM_THREADS, then 1.
 
-    Serial by default: the mapped calls are too short for a pool to pay off
-    (docs/formats.md, Environment, has the measurement).
+    Serial by default: a pool slows short Chamfer calls and buys the assignment
+    solver wall time with CPU (docs/formats.md, Environment, measures both).
     """
     if threads is not None:
         return max(1, int(threads))

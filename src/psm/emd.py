@@ -189,9 +189,10 @@ def _auction(a, b, params):
     return perm, per_pair, achieved, relaxed
 
 
-def _emd(a, b, want_grad, backend, params=None):
-    """EMD of a checked pair by the named backend, on any row width:
-    (DistanceResult, Assignment)."""
+def _emd(a, b, want_grad, backend=None, params=None):
+    """EMD of a checked pair on any row width, by the named backend or, by
+    default, default_backend's: (DistanceResult, Assignment)."""
+    backend = default_backend(len(a)) if backend is None else backend
     bound = ()  # the auction's (achieved_eps, budget_relaxed)
     if backend == "exact":
         if len(a) > EXACT_LIMIT:
@@ -225,5 +226,4 @@ def emd_auction(a, b, params=None, want_grad=False):
 
 def emd(a, b, want_grad=False):
     """Dispatch: exact solver up to s = EXACT_LIMIT, auction beyond."""
-    a, b = check_pair(a, b, same_size=True)
-    return _emd(a, b, want_grad, default_backend(len(a)))[0]
+    return _emd(*check_pair(a, b, same_size=True), want_grad)[0]

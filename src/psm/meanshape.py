@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chamfer import _chamfer, chamfer_distance  # noqa: F401 (perfbench/tracing.py wraps it)
-from .core import (RandomSource, check_span, ordered_map, resolve_threads,
+from .core import (RandomSource, as_int, check_span, ordered_map, resolve_threads,
                    validate)
-from .emd import _emd, default_backend
+from .emd import _emd
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
 from .losses import _check_metric
@@ -338,6 +338,8 @@ class SgdConfig:
 
     def check(self):
         _check_metric(self.metric)
+        for name in ("steps", "batch") + (() if self.m is None else ("m",)):
+            as_int(getattr(self, name), name)
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be >= 1")
         if not self.lr0 > 0 or not self.t_half > 0:
@@ -349,7 +351,7 @@ def _loss_and_grad(x, shape, metric):
     if metric == "cd":
         value, grad, _, _ = _chamfer(x, shape)
         return value, grad
-    res, _ = _emd(x, shape, True, default_backend(len(x)))
+    res, _ = _emd(x, shape, True)
     return res.value, res.grad_a
 
 

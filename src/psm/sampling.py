@@ -8,15 +8,17 @@ import math
 
 import numpy as np
 
-from .core import RandomSource, check_span, validate
+from .core import RandomSource, as_int, check_span, validate
 from .errors import EmptySet, KOutOfRange
 
 
 def _check_k(n, k):
+    k = as_int(k, "k")
     if n == 0:
         raise EmptySet()
     if not 1 <= k <= n:
         raise KOutOfRange(k, n)
+    return k
 
 
 def farthest_point_sample(ps, k, seed=0, start_index=None):
@@ -38,15 +40,14 @@ def farthest_point_sample(ps, k, seed=0, start_index=None):
     """
     pts = validate(ps)
     n = len(pts)
-    _check_k(n, int(k))
-    k = int(k)
+    k = _check_k(n, k)
     check_span(pts, pts)
     if start_index is None:
         start = int(RandomSource(seed).integers(n))
     else:
-        if not 0 <= start_index < n:
-            raise KOutOfRange(start_index, n)
-        start = int(start_index)
+        start = as_int(start_index, "start_index")
+        if not 0 <= start < n:
+            raise KOutOfRange(start, n)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
     axis = int(np.argmax(np.ptp(pts, axis=0)))
@@ -104,8 +105,7 @@ def random_subsample(ps, k, seed=0):
     """k distinct points via a seeded Fisher-Yates prefix, in draw order."""
     pts = validate(ps)
     n = len(pts)
-    _check_k(n, int(k))
-    k = int(k)
+    k = _check_k(n, k)
     gen = RandomSource(seed).gen
     idx = np.arange(n)
     for i in range(k):

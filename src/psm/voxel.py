@@ -14,12 +14,13 @@ Every grid's cell spans at least RESOLUTION float64 steps of its
 coordinates; a grid with finer cells is refused wherever one is made.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import validate
+from .core import as_int, validate
 from .errors import (EmptySet, GridMismatch, InvalidThreshold, NonBinaryGrid,
                      PointOutsideGrid)
 
@@ -32,10 +33,10 @@ RESOLUTION = 1024
 
 def _geometry(dims, origin, cell_size):
     """(dims, origin, cell size) as int, (3,) float64 and float, checked:
-    dims >= 1, a finite origin, a finite cell size > 0, a finite far corner
-    and a cell at least RESOLUTION float64 steps wide at the coordinate of
+    integer dims >= 1, a finite origin, a finite cell size > 0, a finite far
+    corner and a cell at least RESOLUTION float64 steps wide at the coordinate of
     largest magnitude in the grid."""
-    dims = int(dims)
+    dims = as_int(dims, "dims")
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     h = float(cell_size)
     if dims < 1:
@@ -75,47 +76,37 @@ def splat(ps, dims, origin, cell_size, clamp_points=True, saturate=True):
     clamp_points=True moves outside points onto the grid boundary first;
     with False such points raise PointOutsideGrid instead. saturate=True
     caps each cell at 1.0 (occupancy semantics); tests disable it to check
-    raw mass conservation.
+    raw mass conservation. Weights add, cell by cell in point order, into
+    a grid with one border cell per side; the border then drops what fell
+    outside.
     """
     pts = validate(ps)
     if len(pts) == 0:
         raise EmptySet()
     dims, origin, h = _geometry(dims, origin, cell_size)
-    lo = origin
     hi = origin + dims * h
-    outside = (pts < lo) | (pts > hi)
+    outside = (pts < origin) | (pts > hi)
     if outside.any():
         if not clamp_points:
             raise PointOutsideGrid(int(np.argmax(outside.any(axis=1))))
-        pts = np.clip(pts, lo, hi)
+        pts = np.clip(pts, origin, hi)
 
     # cell c spans [origin + c h, origin + (c+1) h); a point cube of side h
     # centered at p overlaps cells floor(u) and floor(u)+1 per axis, where
-    # u = (p - origin)/h - 1/2, with weights (1 - f) and f, f = u - floor(u)
+    # u = (p - origin)/h - 1/2, with weights (1 - f) and f, f = u - floor(u).
+    # p in [origin, hi] puts u in [-1/2, dims - 1/2] and each cell in [-1, dims].
     u = (pts - origin) / h - 0.5
     i0 = np.floor(u).astype(np.int64)
     f = u - i0
-    grid = np.zeros((dims, dims, dims))
-    flat = grid.ravel()
-    for dx in (0, 1):
-        wx = f[:, 0] if dx else 1.0 - f[:, 0]
-        cx = i0[:, 0] + dx
-        okx = (cx >= 0) & (cx < dims)
-        for dy in (0, 1):
-            wy = f[:, 1] if dy else 1.0 - f[:, 1]
-            cy = i0[:, 1] + dy
-            okxy = okx & (cy >= 0) & (cy < dims)
-            for dz in (0, 1):
-                wz = f[:, 2] if dz else 1.0 - f[:, 2]
-                cz = i0[:, 2] + dz
-                ok = okxy & (cz >= 0) & (cz < dims)
-                if not ok.any():
-                    continue
-                w = (wx * wy * wz)[ok]
-                cell = (cx[ok] * dims + cy[ok]) * dims + cz[ok]
-                np.add.at(flat, cell, w)
-    if saturate:
-        np.clip(grid, 0.0, 1.0, out=grid)
+    w = (1.0 - f, f)
+    side = dims + 2
+    base = ((i0[:, 0] + 1) * side + i0[:, 1] + 1) * side + i0[:, 2] + 1
+    flat = np.zeros(side**3)
+    for dx, dy, dz in itertools.product((0, 1), repeat=3):
+        np.add.at(flat, base + (dx * side + dy) * side + dz,
+                  w[dx][:, 0] * w[dy][:, 1] * w[dz][:, 2])
+    grid = flat.reshape((side,) * 3)[1:-1, 1:-1, 1:-1]
+    grid = np.clip(grid, 0.0, 1.0) if saturate else grid.copy()
     return OccupancyGrid(dims, origin, h, grid)
 
 

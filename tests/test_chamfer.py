@@ -329,32 +329,45 @@ def sphere_shell(r2):
             if p[0] ** 2 + p[1] ** 2 + p[2] ** 2 == r2]
 
 
-@pytest.mark.parametrize("r2,ball", [(1, False), (25, True)])
-def test_kdtree_ties_past_repair_k_take_the_ball(monkeypatch, r2, ball):
-    # the origin is equidistant from the 6 points at squared distance 1,
-    # which the REPAIR_K nearest settle, and from the 30 at 25, which they
-    # cannot: that row must reach the ball query
-    shell = sphere_shell(r2)
-    assert (len(shell) > chamfer_module.REPAIR_K) == ball
+class RecordingTree:
+    """A cKDTree stand-in that records the k of every query."""
+
+    def __init__(self, tree):
+        self.tree, self.n, self.ks = tree, tree.n, []
+
+    def query(self, q, k):
+        self.ks.append(k)
+        return self.tree.query(q, k=k)
+
+
+@pytest.mark.parametrize("r2,far,widened", [
+    (1, True, 0),    # 6 tied points: the REPAIR_K nearest settle the row
+    (2, True, 1),    # 12: REPAIR_K < 12 < REPAIR_K * _WIDEN
+    (25, True, 2),   # 30: more than REPAIR_K * _WIDEN
+    (14, True, 3),   # 48: more than 4 REPAIR_K
+    (25, False, 2),  # the 30 alone: k stops at the tree's size
+])
+def test_kdtree_ties_widen_until_settled(r2, far, widened):
+    # the origin is equidistant from every integer point at squared distance
+    # r2; a row stays unsettled while its k-th neighbour is one of them
+    shell = np.array(sphere_shell(r2), dtype=np.float64)
     rng = np.random.default_rng(24)
-    far = 1.5 * np.array(shell, dtype=np.float64)
-    pts = np.vstack([far, np.array(shell, dtype=np.float64)[rng.permutation(len(shell))]])
-    calls = []
-    real_ball = KdTree._ball
-
-    def spy(self, q, reach):
-        calls.append(len(q))
-        return real_ball(self, q, reach)
-
-    monkeypatch.setattr(KdTree, "_ball", spy)
+    pts = shell[rng.permutation(len(shell))]
+    if far:
+        pts = np.vstack([1.5 * shell, pts])
+    tree = KdTree(pts)
+    tree.tree = RecordingTree(tree.tree)
     queries = np.array([(0.0, 0, 0), (0.1, 0.2, 0.3)])
-    idx, d2 = KdTree(pts).query(queries)
+    idx, d2 = tree.query(queries)
     for qi in range(len(queries)):
         want_j, want_d = nn_loop(queries[qi], pts)
         assert idx[qi] == want_j
         assert d2[qi] == want_d
-    assert idx[0] == len(shell)
-    assert calls == ([1] if ball else [])
+    assert idx[0] == (len(shell) if far else 0)
+    ks = [min(chamfer_module.REPAIR_K * chamfer_module._WIDEN**i, len(pts))
+          for i in range(widened + 1)]
+    assert tree.tree.ks == [2] + ks
+    assert ks[-1] > len(shell) or ks[-1] == len(pts)
 
 
 # ----------------------------------------------------------------- errors

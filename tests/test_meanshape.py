@@ -264,6 +264,23 @@ def test_config_validation():
             SgdConfig(**kwargs).check()
 
 
+@pytest.mark.parametrize("kwargs", [dict(m=2.5), dict(m=True), dict(m="8"),
+                                    dict(steps=2.0), dict(batch=True)])
+def test_config_rejects_non_integer_counts(kwargs):
+    with pytest.raises(TypeError):
+        SgdConfig(**kwargs).check()
+    spec = ShapeDistributionSpec("circle_radius", n_points=8)
+    with pytest.raises(TypeError):
+        optimize_mean_shape(spec, SgdConfig(**{"steps": 1, **kwargs}))
+
+
+def test_config_takes_numpy_integers():
+    spec = ShapeDistributionSpec("circle_radius", n_points=8)
+    x, trace = optimize_mean_shape(spec, SgdConfig(steps=np.int64(2), batch=np.int32(2),
+                                                   m=np.int16(4)))
+    assert x.shape == (4, 3) and trace.shape == (2,)
+
+
 def test_emd_requires_matching_cardinality():
     spec = ShapeDistributionSpec("circle_radius", n_points=16)
     with pytest.raises(SizeMismatch):

@@ -1,6 +1,6 @@
 """Property tests on adversarial clouds: Chamfer backends and gradients, FPS,
-the assignment solvers, min-of-N, and the voxel path (splat, binarize, iou
-and the grid file).
+the assignment solvers, min-of-N and batch losses, and the voxel path
+(splat, binarize, iou, the grid file and the grid reporting unit).
 
 Clouds come in the shapes that break nearest-neighbor searches and greedy
 samplers: duplicated points, 1/64 and integer lattices (exact ties between
@@ -30,10 +30,11 @@ from psm.emd import (AuctionParams, _assign, _auction, _grads_from_perm, emd,
                      emd_auction, emd_exact)
 from psm.errors import InvalidParameter
 from psm.io import read_grid, write_grid
-from psm.losses import CandidateBundle, mon_loss
+from psm.losses import CandidateBundle, batch_loss, mon_loss
 from psm.meanshape import FAMILY_DEFAULTS, _extremes, _points, spec_from_dict
 from psm.sampling import farthest_point_sample
-from psm.voxel import RESOLUTION, OccupancyGrid, binarize, iou, splat
+from psm.voxel import (RESOLUTION, OccupancyGrid, _geometry, binarize, grid_unit_scale,
+                       iou, splat)
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
          "coplanar", "offset", "huge", "tiny", "identical")
@@ -418,6 +419,20 @@ def test_mon_loss_is_the_first_minimum_of_its_candidates(kind, metric, seed, dat
     assert idx == values.index(min(values))
 
 
+@CHECKED
+@given(st.sampled_from(KINDS), st.sampled_from(["cd", "emd"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_batch_loss_is_the_sum_of_its_pairs_in_index_order(kind, metric, seed, data):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        n = data.draw(st.integers(1, 16))
+        m = n if metric == "emd" else data.draw(st.integers(1, 16))
+        pairs.append((make_cloud(kind, n, rng), make_cloud(kind, m, rng)))
+    metric_fn = chamfer_distance if metric == "cd" else emd
+    assert batch_loss(pairs, metric) == float(np.sum([metric_fn(a, b).value for a, b in pairs]))
+
+
 # --------------------------------------------------------------- voxel path
 
 ORIGINS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e8, -1e12, 1e15, 3e300]),
@@ -453,6 +468,87 @@ def test_splat_conserves_interior_mass_or_refuses_the_grid(dims, origin, h, n, s
     assert g.values.min() >= 0.0
     # each point's eight weights sum to 1 up to a few roundings apiece
     assert abs(g.values.sum() - n) <= n * 2.0**-44
+
+
+def grid_around(cloud, dims, margin):
+    """Origin and cell size that place the cloud's box from cell margin to
+    cell dims - margin along its widest axis; a one-point cloud gets cells of
+    2**-20 of its largest coordinate (or of 1)."""
+    lo = cloud.min(axis=0)
+    span = float(np.ptp(cloud, axis=0).max())
+    h = span / (dims - 2 * margin) if span > 0 else 2.0**-20 * max(float(np.abs(lo).max()), 1.0)
+    return lo - margin * h, h
+
+
+@CHECKED
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.tuples(*[st.integers(0, 4)] * 3))
+def test_splat_shifts_with_its_points_by_whole_cells(kind, n, seed, shift):
+    # the cloud spans cells 2 .. 6 of 12 and moves by up to 4 cells per
+    # axis, so every point cube stays inside the grid
+    cloud = make_cloud(kind, n, np.random.default_rng(seed))
+    dims = 12
+    origin, h = grid_around(cloud, 8, 2)
+    g = splat(cloud, dims, origin, h, saturate=False).values
+    moved = splat(cloud + np.multiply(shift, h), dims, origin, h, saturate=False).values
+    want = np.zeros_like(g)
+    sx, sy, sz = shift
+    want[sx:, sy:, sz:] = g[:dims - sx, :dims - sy, :dims - sz]
+    # adding the shift rounds each coordinate by up to 1e-8 of a cell here
+    assert np.abs(moved - want).max() <= 1e-6 * n
+
+
+@CHECKED
+@given(st.integers(1, 5), st.sampled_from([0.0, -3.5, 2.0**30, -(2.0**20)]),
+       st.sampled_from([2.0**-3, 1.0, 2.0**5]), st.data())
+def test_splat_splits_boundary_points_as_documented(dims, o, h, data):
+    # per axis, a point on the face between cells c - 1 and c puts half its
+    # mass in each, and one at the centre of cell c puts all of it there;
+    # faces on the grid's sides keep only the inner half
+    steps = data.draw(st.lists(st.tuples(*[st.integers(0, 2 * dims)] * 3), min_size=1, max_size=6))
+    want = np.zeros((dims,) * 3)
+    for p in steps:
+        axes = []
+        for s in p:  # s half cells from the origin
+            c = s // 2
+            cells = [(c - 1, 0.5), (c, 0.5)] if s % 2 == 0 else [(c, 1.0)]
+            axes.append([(i, w) for i, w in cells if 0 <= i < dims])
+        for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
+            want[ix, iy, iz] += wx * wy * wz
+    pts = o + np.array(steps, dtype=np.float64) * (h / 2)
+    g = splat(pts, dims, (o, o, o), h, saturate=False)
+    assert g.values.tobytes() == want.tobytes()
+
+
+@CHECKED
+@given(st.sampled_from(KINDS), st.integers(1, 6), st.sampled_from([-1.0, -0.5, 0.0, 0.25]),
+       st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_splat_keeps_only_each_points_in_grid_fraction(kind, dims, margin, n, seed):
+    # a point cube that crosses a side of the grid (after clamping, up to
+    # half a cell per axis) loses the part outside and nothing else
+    cloud = make_cloud(kind, n, np.random.default_rng(seed))
+    origin, h = grid_around(cloud, dims, margin)
+    total = 0.0
+    for p in cloud:
+        mass = splat([p], dims, origin, h, saturate=False).values.sum()
+        u = (np.clip(p, origin, origin + dims * h) - origin) / h
+        inside = np.prod(np.minimum(u + 0.5, dims) - np.maximum(u - 0.5, 0.0))
+        assert abs(mass - inside) <= 2.0**-44
+        total += mass
+    assert abs(splat(cloud, dims, origin, h, saturate=False).values.sum() - total) <= n * 2.0**-44
+
+
+@CHECKED
+@given(st.one_of(st.integers(-2, 64), st.sampled_from([True, 2.5, 3.0, "4", np.int64(8)])),
+       st.one_of(CELLS, st.sampled_from([0.0, -1.0, math.inf, math.nan])))
+def test_grid_unit_scale_is_a_tenth_of_the_side_or_refuses_the_grid(dims, h):
+    try:
+        _geometry(dims, (0, 0, 0), h)
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)):
+            grid_unit_scale(dims, h)
+        return
+    assert grid_unit_scale(dims, h) == dims * h / 10.0
 
 
 def binary_grid(data, dims):

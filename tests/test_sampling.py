@@ -147,6 +147,27 @@ def test_fps_rejects_overflowing_distances():
     assert out.tolist() == near[[0, 2, 1]].tolist()
 
 
+@pytest.mark.parametrize("k", [2.9, 3.0, True, "3", None])
+def test_samplers_reject_non_integer_k(k):
+    # int() would truncate 2.9 to 2, read True as 1 and parse "3"
+    for sampler in (farthest_point_sample, random_subsample):
+        with pytest.raises(TypeError):
+            sampler(line_cloud(), k)
+
+
+@pytest.mark.parametrize("start", [1.5, 1.0, False, "1"])
+def test_fps_rejects_non_integer_start_index(start):
+    with pytest.raises(TypeError):
+        farthest_point_sample(line_cloud(), 3, start_index=start)
+
+
+def test_samplers_take_numpy_integers():
+    pts = line_cloud()
+    assert np.array_equal(farthest_point_sample(pts, np.int32(3), start_index=np.int64(1)),
+                          farthest_point_sample(pts, 3, start_index=1))
+    assert np.array_equal(random_subsample(pts, np.uint8(4)), random_subsample(pts, 4))
+
+
 def test_random_subsample_reproducible_subset():
     rng = np.random.default_rng(54)
     pts = rng.random((30, 3))

@@ -133,6 +133,15 @@ def test_splat_rejects_empty_and_bad_geometry():
             splat([(0, 0, 0)], 4, origin, h)
 
 
+@pytest.mark.parametrize("dims", [4.0, 3.5, True, "4"])
+def test_grid_dims_must_be_an_integer(dims):
+    with pytest.raises(TypeError):
+        splat([(0, 0, 0)], dims, (0, 0, 0), 1.0)
+    with pytest.raises(TypeError):
+        grid_unit_scale(dims, 1.0)
+    assert splat([(0, 0, 0)], np.int64(4), (0, 0, 0), 1.0).dims == 4
+
+
 def test_binarize_thresholds():
     g = grid_of(np.array([[[0.4, 0.6], [0.0, 1.0]], [[0.25, 0.1], [0.9, 0.5]]]))
     b0 = binarize(g, 0.0)
