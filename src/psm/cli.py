@@ -17,7 +17,6 @@ import numpy as np
 
 from . import io as psio
 from .chamfer import chamfer_distance
-from .core import resolve_threads
 from .emd import (EXACT_LIMIT, AuctionParams, default_backend, emd_auction,
                   emd_exact)
 from .losses import METRICS, CandidateBundle, mon_loss
@@ -173,7 +172,7 @@ def _cmd_mon(args):
     gt = psio.read_xyz(gt_path)
     cands = [psio.read_xyz(p) for p in cand_paths]
     bundle = CandidateBundle(cands, gt, metric)
-    value, argmin = mon_loss(bundle, threads=resolve_threads(args.threads))
+    value, argmin = mon_loss(bundle)
     _emit(args, {"command": "mon", "value": value, "argmin_index": argmin,
                  "n_candidates": len(cands), "metric": metric},
           [f"{fmt12(value)} {argmin}"])
@@ -201,8 +200,7 @@ def _cmd_meanshape(args):
     spec = psio.read_distribution_spec(args.spec)
     cfg = SgdConfig(metric=args.metric, steps=args.steps, batch=args.batch,
                     lr0=args.lr, t_half=args.t_half, m=args.m, seed=args.seed)
-    x, trace = optimize_mean_shape(spec, cfg,
-                                   threads=resolve_threads(args.threads))
+    x, trace = optimize_mean_shape(spec, cfg)
     if args.out is not None:
         psio.write_xyz(x, args.out)
     if args.plot is not None:
@@ -240,9 +238,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON object")
-    threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=None,
-                          help="worker threads (default: PSM_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chamfer", parents=[common],
@@ -308,7 +303,7 @@ def build_parser():
     p.add_argument("b")
     p.set_defaults(func=_cmd_iou)
 
-    p = sub.add_parser("mon", parents=[common, threaded],
+    p = sub.add_parser("mon", parents=[common],
                        help="min-of-N loss over candidate clouds")
     p.add_argument("groundtruth", nargs="?")
     p.add_argument("candidates", nargs="*")
@@ -317,7 +312,7 @@ def build_parser():
                    help="JSON manifest with groundtruth/candidates/metric")
     p.set_defaults(func=_cmd_mon)
 
-    p = sub.add_parser("meanshape", parents=[common, threaded],
+    p = sub.add_parser("meanshape", parents=[common],
                        help="SGD mean shape of a shape distribution")
     p.add_argument("--spec", required=True, metavar="SPEC.json")
     p.add_argument("--metric", choices=METRICS, default="cd")

@@ -9,7 +9,6 @@ Every public entry point coerces with as_points() and, where the contract
 demands finite input, checks with validate().
 """
 
-import os
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -133,29 +132,25 @@ class DistanceResult:
 
 
 def resolve_threads(threads=None):
-    """Thread count: explicit argument, then PSM_THREADS, then 1.
+    """Worker-thread count: 1 for None, else max(1, threads) for an integer;
+    bools, floats and strings raise TypeError (as_int).
 
     Serial by default: a pool slows short Chamfer calls and buys the assignment
     solver wall time with CPU (docs/formats.md, Environment, measures both).
     """
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("PSM_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    return 1 if threads is None else max(1, as_int(threads, "threads"))
 
 
 def ordered_map(fn, items, threads=1):
     """Map fn over items, preserving order in the returned list.
 
-    Work may run on a thread pool but results are gathered by index, so the
-    output (and anything reduced from it in order) is identical for any
-    thread count.
+    threads is checked by resolve_threads. Work may run on a thread pool but
+    results are gathered by index, so the output (and anything reduced from
+    it in order) is identical for any thread count.
     """
+    threads = resolve_threads(threads)
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
-

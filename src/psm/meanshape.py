@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chamfer import _chamfer, chamfer_distance  # noqa: F401 (perfbench/tracing.py wraps it)
-from .core import (RandomSource, as_int, check_span, ordered_map, resolve_threads,
-                   validate)
+from .core import RandomSource, as_int, check_span, ordered_map, validate
 from .emd import _emd
 from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
                      SizeMismatch, UnknownFamily)
@@ -73,6 +72,14 @@ def _require_number(v, key):
              and abs(v) <= sys.float_info.max, f"{key} must be a finite number")
 
 
+def _require_int(v, key):
+    # as_int's refusals, as the spec's InvalidParameter
+    try:
+        return as_int(v, key)
+    except TypeError as e:
+        raise InvalidParameter(str(e)) from None
+
+
 def _require_count(n, key, row_bytes):
     # numpy refuses an array past the address space with a message that
     # names no key, and tries to allocate anything smaller
@@ -93,6 +100,8 @@ def _validate_params(family, params):
     for key, default in FAMILY_DEFAULTS[family].items():
         if isinstance(default, list):
             _check_xy(params, key)
+        elif isinstance(default, int):
+            params[key] = _require_int(params[key], key)
         else:
             _require_number(params[key], key)
             params[key] = float(params[key])  # an int radius would make int vertex arrays
@@ -103,8 +112,7 @@ def _validate_params(family, params):
         _require(params["radius"] > 0, "radius must be > 0")
         _require(params["theta_end_deg"] > params["theta_start_deg"],
                  "need theta_start_deg < theta_end_deg")
-        _require(int(params["n_spikes"]) >= 1, "n_spikes must be >= 1")
-        params["n_spikes"] = int(params["n_spikes"])
+        _require(params["n_spikes"] >= 1, "n_spikes must be >= 1")
         _require_count(2 * params["n_spikes"] + 1, "n_spikes", 16)  # (x, y) vertices
         _require(params["spike_height"] >= 0, "spike_height must be >= 0")
         _require(params["travel"] >= 0, "travel must be >= 0")
@@ -143,13 +151,11 @@ class ShapeDistributionSpec:
         merged = {**defaults, **self.params}
         _validate_params(self.family, merged)
         self.params = merged
-        _require_number(self.n_points, "n_points")
-        self.n_points = int(self.n_points)
-        if self.n_points < 1:
-            raise InvalidParameter("n_points must be >= 1")
+        self.n_points = _require_int(self.n_points, "n_points")
+        _require(self.n_points >= 1, "n_points must be >= 1")
         _require_count(self.n_points, "n_points", 24)  # (x, y, z) points
-        _require_number(self.seed, "seed")
-        self.seed = int(self.seed)
+        self.seed = _require_int(self.seed, "seed")
+        _require(self.seed >= 0, "seed must be >= 0")  # numpy's SeedSequence refuses it
         _check_outline(self)
 
 
@@ -196,13 +202,12 @@ def _sample_pieces(outline, n):
     piece_idx = np.minimum(np.searchsorted(cum, t, side="right"), len(lengths) - 1)
     local = t - (cum[piece_idx] - lengths[piece_idx])
     out = np.zeros((n, 2))
-    # a piece that holds the whole outline takes every row without a mask
     if nseg:
-        rows = slice(None) if not circles else piece_idx < nseg
+        rows = piece_idx < nseg
         i = piece_idx[rows]
         out[rows] = seg_a[i] + (local[rows] / seg_len[i])[:, None] * seg_d[i]
     for k, (c, r) in enumerate(circles):
-        rows = slice(None) if len(lengths) == 1 else piece_idx == nseg + k
+        rows = piece_idx == nseg + k
         ang = local[rows] / r
         out[rows] = c + r * np.column_stack([np.cos(ang), np.sin(ang)])
     return out
@@ -355,7 +360,7 @@ def _loss_and_grad(x, shape, metric):
     return res.value, res.grad_a
 
 
-def optimize_mean_shape(spec, cfg, threads=None):
+def optimize_mean_shape(spec, cfg, threads=1):
     """SGD over point coordinates. Returns (x_final, loss_trace).
 
     Each step draws a minibatch of shapes, averages the gradient of the
@@ -370,9 +375,9 @@ def optimize_mean_shape(spec, cfg, threads=None):
     one term per draw, in draw order. The outlines of corner_square (4) and
     bar_disk (2) are sampled once per run; the continuous families sample
     each distinct draw once per step and keep nothing across steps.
-    Evaluations run on the caller's thread unless threads (or PSM_THREADS)
-    asks for a pool. Hidden variables are drawn serially, so the trajectory
-    does not depend on the worker count.
+    Evaluations run on the caller's thread unless threads > 1 asks for a
+    pool (ordered_map checks it). Hidden variables are drawn serially, so the
+    trajectory does not depend on the worker count.
     """
     cfg.check()
     m = spec.n_points if cfg.m is None else int(cfg.m)
@@ -380,7 +385,6 @@ def optimize_mean_shape(spec, cfg, threads=None):
         raise SizeMismatch(m, spec.n_points)
     if m < 1:
         raise InvalidParameter("m must be >= 1")
-    nworkers = resolve_threads(threads)
     init_rng, draw_rng = RandomSource(cfg.seed).split(2)
     x = init_rng.uniform(0.0, 1.0, (m, 2))
     trace = np.empty(cfg.steps)
@@ -398,7 +402,7 @@ def optimize_mean_shape(spec, cfg, threads=None):
             check_span(x, outlines[h])
         results = dict(zip(firsts, ordered_map(
             lambda h: _loss_and_grad(x, outlines[h], cfg.metric), firsts,
-            threads=nworkers)))
+            threads)))
         loss = sum(results[h][0] for h in hidden) / cfg.batch
         grad = sum((results[h][1] for h in hidden), np.zeros_like(x))
         trace[t] = loss

@@ -3,7 +3,6 @@
 import argparse
 import importlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,12 +12,9 @@ import numpy as np
 import pytest
 
 
-def run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "psm.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def write(path, text):
@@ -289,20 +285,17 @@ def test_unknown_subcommand_usage_error():
     assert r.returncode == 2
 
 
-def test_only_mon_and_meanshape_take_threads(capsys):
+def test_no_subcommand_takes_threads(capsys):
     from psm.cli import build_parser
     argv = {"chamfer": ["a", "b"], "emd": ["a", "b"],
             "fps": ["a", "--k", "1", "-o", "o"], "voxelize": ["a", "-o", "o"],
             "iou": ["a", "b"], "mon": ["gt", "c"],
             "meanshape": ["--spec", "s"], "selftest": []}
     for command, rest in argv.items():
-        line = [command, *rest, "--threads", "7"]
-        if command in ("mon", "meanshape"):
-            assert build_parser().parse_args(line).threads == 7
-        else:
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(line)
-            assert exc.value.code == 2, command
+        build_parser().parse_args([command, *rest])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *rest, "--threads", "2"])
+        assert exc.value.code == 2, command
 
 
 # -------------------------------------------------------------------- mon
@@ -357,14 +350,26 @@ def test_mon_bundle_field_types(mon_files, tmp_path, fields):
     assert len(r.stderr.splitlines()) == 1
 
 
-def test_mon_respects_threads_env(mon_files):
+def test_threads_env_starts_no_pool(mon_files, tmp_path, monkeypatch, capsys):
+    import psm.core
+    from psm import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
     gt, c5, c3 = mon_files
-    r1 = run_cli("mon", gt, c5, c3, "--metric", "emd",
-                 env_extra={"PSM_THREADS": "1"})
-    r2 = run_cli("mon", gt, c5, c3, "--metric", "emd",
-                 env_extra={"PSM_THREADS": "3"})
-    assert r1.returncode == r2.returncode == 0
-    assert r1.stdout == r2.stdout
+    spec = spec_file(tmp_path, family="circle_radius", n_points=12)
+    runs = (["mon", gt, c5, c3, "--metric", "emd"],
+            ["meanshape", "--spec", spec, "--steps", "3", "--metric", "emd"])
+    plain = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        plain.append(capsys.readouterr().out)
+    monkeypatch.setenv("PSM_THREADS", "3")
+    monkeypatch.setattr(psm.core, "ThreadPoolExecutor", no_pool)
+    for argv, out in zip(runs, plain):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 # -------------------------------------------------------------- meanshape
@@ -455,8 +460,8 @@ def test_meanshape_spec_outline_overflow(tmp_path, spec, key):
 
 
 @pytest.mark.parametrize("spec, key", [
-    ({"family": "spiky_arc", "n_spikes": 1e300}, "n_spikes"),
-    ({"family": "circle_radius", "n_points": 1e18}, "n_points"),
+    ({"family": "spiky_arc", "n_spikes": 10**300}, "n_spikes"),
+    ({"family": "circle_radius", "n_points": 10**18}, "n_points"),
 ])
 def test_meanshape_spec_count_past_address_space(tmp_path, spec, key):
     # both counts are refused before anything is allocated

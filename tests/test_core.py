@@ -138,12 +138,21 @@ def test_random_source_split_streams():
 
 def test_resolve_threads(monkeypatch):
     assert resolve_threads(4) == 4
+    assert resolve_threads(np.int64(3)) == 3
     assert resolve_threads(0) == 1
     monkeypatch.setenv("PSM_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2  # explicit argument wins
-    monkeypatch.delenv("PSM_THREADS")
-    assert resolve_threads() == 1  # serial unless asked
+    assert resolve_threads() == 1  # serial unless asked; no environment read
+    gt = np.zeros((2, 3))
+    for bad in (2.5, True, "3"):
+        with pytest.raises(TypeError):
+            resolve_threads(bad)
+        with pytest.raises(TypeError):
+            ordered_map(abs, [1, 2], threads=bad)
+        with pytest.raises(TypeError):
+            mon_loss(CandidateBundle([gt, gt + 1], gt), threads=bad)
+        with pytest.raises(TypeError):
+            optimize_mean_shape(ShapeDistributionSpec("circle_radius", n_points=4),
+                                SgdConfig(steps=1, batch=2), threads=bad)
 
 
 def test_ordered_map_preserves_order():

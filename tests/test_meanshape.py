@@ -62,6 +62,24 @@ def test_spec_rejects_bad_input():
         ShapeDistributionSpec("spiky_arc", params={"travel": 1e300})
 
 
+def test_spec_integers_are_not_truncated():
+    # n_points, seed and n_spikes are integers: no float, bool or string is
+    # truncated or parsed, and a negative seed fails here, not in a plot
+    for kwargs, key in [({"n_points": 2.5}, "n_points"), ({"n_points": True}, "n_points"),
+                        ({"n_points": "8"}, "n_points"), ({"seed": 1.7}, "seed"),
+                        ({"seed": False}, "seed"), ({"seed": -1}, "seed")]:
+        with pytest.raises(InvalidParameter, match=f"^{key} must be"):
+            ShapeDistributionSpec("circle_radius", **kwargs)
+    for bad in (2.9, 2.0, True, "3"):
+        with pytest.raises(InvalidParameter, match="^n_spikes must be an integer"):
+            spec_from_dict({"family": "spiky_arc", "n_spikes": bad})
+    spec = ShapeDistributionSpec("spiky_arc", n_points=np.int64(9), seed=np.uint8(3),
+                                 params={"n_spikes": np.int32(2)})
+    assert (spec.n_points, spec.seed, spec.params["n_spikes"]) == (9, 3, 2)
+    assert all(type(v) is int
+               for v in (spec.n_points, spec.seed, spec.params["n_spikes"]))
+
+
 def test_spec_from_dict_flat_schema():
     spec = spec_from_dict({"family": "spiky_arc", "n_points": 32, "seed": 5,
                            "travel": 0.2})
