@@ -96,7 +96,7 @@ def _cmd_emd(args):
     if want_grad:
         psio.write_xyz(res.grad_a / div, args.grad)
     if args.dump_matching is not None:
-        with open(args.dump_matching, "w", newline="\n") as fh:
+        with open(args.dump_matching, "w", encoding="utf-8", newline="\n") as fh:
             for i, j in enumerate(assignment.perm):
                 fh.write(f"{i} {j} {psio.fmt_float(assignment.per_pair_cost[i])}\n")
     obj = {"command": "emd", "value": value, "backend": res.backend,
@@ -149,7 +149,7 @@ def _cmd_mon(args):
     if args.bundle is not None:
         if args.groundtruth is not None or args.candidates:
             raise ValueError("give either --bundle or positional paths, not both")
-        with open(args.bundle) as fh:
+        with open(args.bundle, encoding="utf-8") as fh:
             manifest = json.load(fh)
         if not isinstance(manifest, dict) \
                 or not isinstance(manifest.get("groundtruth"), str) \
@@ -157,10 +157,10 @@ def _cmd_mon(args):
                 or not all(isinstance(c, str) for c in manifest["candidates"]):
             raise ValueError("bundle manifest needs a 'groundtruth' path and "
                              "a list of 'candidates' paths")
-        # manifest paths resolve relative to the manifest's own directory
+        # manifest paths are UTF-8 names relative to the manifest's own directory
         base = os.path.dirname(os.path.abspath(args.bundle))
-        gt_path = os.path.join(base, manifest["groundtruth"])
-        cand_paths = [os.path.join(base, c) for c in manifest["candidates"]]
+        gt_path, *cand_paths = [os.path.join(base, os.fsdecode(p.encode()))
+                                for p in [manifest["groundtruth"], *manifest["candidates"]]]
         metric = manifest.get("metric", args.metric)
     else:
         if args.groundtruth is None or not args.candidates:
@@ -206,7 +206,7 @@ def _cmd_meanshape(args):
     if args.plot is not None:
         emit_plot(x, spec, args.plot)
     if args.trace is not None:
-        with open(args.trace, "w", newline="\n") as fh:
+        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("step,loss\n")
             for t, v in enumerate(trace):
                 fh.write(f"{t},{psio.fmt_float(v)}\n")

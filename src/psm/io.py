@@ -1,13 +1,16 @@
 """Text formats: .xyz point clouds, PSGRID occupancy grids, JSON shape specs.
 
-All writers emit the shortest decimal representation that round-trips to the
-same float64 (with a trailing ".0" dropped), so write then read is exact and
-files stay human-readable. All parsers report 1-based line numbers.
+All files are UTF-8 under any locale. Writers emit the shortest decimal that
+round-trips to the same float64 (a trailing ".0" dropped), so write then read
+is exact. The .xyz and grid readers parse with one np.loadtxt call on the
+path; a line parser that reports 1-based line numbers takes what numpy refuses.
 """
 
 import json
 import math
-from itertools import chain, dropwhile, filterfalse, islice
+import os
+import re
+from itertools import islice
 
 import numpy as np
 
@@ -17,31 +20,28 @@ from .meanshape import spec_from_dict
 from .voxel import OccupancyGrid
 
 GRID_HEADER = "PSGRID 1"
+_LEADING = re.compile(rb"(?:\s|#[^\n]*)*")  # blank and '#' lines
 
 
 def fmt_float(x):
     """Shortest exact decimal for a float64; integral values lose the '.0'."""
-    s = repr(float(x))
-    if s.endswith(".0"):
-        s = s[:-2]
-    return s
+    return repr(float(x)).removesuffix(".0")
 
 
-def _write_rows(fh, values, width, distinct=False):
+def _write_rows(fh, values, width):
     """Write values `width` to a line as fmt_float does, a block of lines at a
-    time; distinct formats each bit pattern once, faster if values repeat."""
+    time, formatting each distinct bit pattern in a block once."""
     rows = np.asarray(values, dtype=np.float64).reshape(-1, width)
     step = max(1, 65536 // width)
     for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step].ravel()
-        if distinct:
-            bits, inv = np.unique(block.view(np.int64), return_inverse=True)
-            block = bits.view(np.float64)
-        toks = [t[:-2] if t.endswith(".0") else t for t in map(repr, block.tolist())]
-        if distinct:
-            toks = np.array(toks, dtype=object)[inv].tolist()
-        fh.write("".join(" ".join(toks[i:i + width]) + "\n"
-                         for i in range(0, len(toks), width)))
+        bits, inv = np.unique(rows[lo:lo + step].view(np.int64), return_inverse=True)
+        inv = inv.reshape(-1, width)
+        text = "\n".join(map(repr, bits.view(np.float64).tolist())) + "\n"
+        text = text.replace(".0\n", "\n")  # only an integral value's repr ends in ".0"
+        # each token carries what follows it: a space, or a newline at a row's end
+        toks = np.array(text.replace("\n", " \n").split("\n"), dtype=object)[inv]
+        toks[:, -1] = np.array(text.splitlines(True), dtype=object)[inv[:, -1]]
+        fh.write("".join(toks.ravel().tolist()))
 
 
 def _parse_floats(tokens, lineno):
@@ -57,36 +57,33 @@ def _parse_floats(tokens, lineno):
     return out
 
 
-def _loadtxt(fh):
-    """The rest of fh as rows of floats in one numpy call, or None when it
-    holds no row or numpy refuses it (a bad token, a ragged row or
-    undecodable bytes); a caller's line parser then takes the file."""
-    try:
-        for first in fh:
-            if first.strip():  # loadtxt warns on input without rows
-                # with comments=None any '#' is a bad token
-                return np.loadtxt(chain([first], fh), dtype=np.float64,
-                                  comments=None, ndmin=2)
-    except ValueError:
-        pass
-    return None
-
-
-def _skipped(line):
-    return line.strip()[:1] in ("", "#")
+def _numpy_reads(data):
+    """Whether np.loadtxt(comments="#") reads these bytes as the line parser
+    does: every '#' opens its line after only spaces or tabs, and a row
+    follows the leading blank and '#' lines. Steps once per '#' line."""
+    i = data.find(b"#")
+    while i >= 0:
+        if data[data.rfind(b"\n", 0, i) + 1:i].strip(b" \t"):
+            return False
+        i = data.find(b"#", data.find(b"\n", i) + 1 or len(data))
+    i = _LEADING.match(data).end()  # loadtxt warns on input without rows
+    return b"!" <= data[i:i + 1] <= b"~"
 
 
 def read_xyz(path):
     """Read a point set: one `x y z` line per point.
 
-    Blank lines and lines starting with '#' are skipped. Files of plain
-    numeric rows are parsed by numpy; the line parser takes the rest.
+    Blank lines and lines starting with '#' are skipped. A file with a row,
+    whose every '#' opens a line, is parsed in one np.loadtxt call; the line
+    parser takes every other file and every file numpy refuses.
     """
-    with open(path) as fh:
-        pts = _loadtxt(dropwhile(_skipped, fh))
-        if pts is None:  # a skipped line after the first row, or a bad file
-            fh.seek(0)
-            pts = _loadtxt(filterfalse(_skipped, fh))
+    path = os.fsdecode(path)  # np.loadtxt takes no bytes path
+    with open(path, "rb") as fh:
+        plain = _numpy_reads(fh.read())
+    try:
+        pts = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8") if plain else None
+    except ValueError:  # a bad token, a ragged row or undecodable bytes
+        pts = None
     if pts is not None and pts.shape[1] == 3 and np.isfinite(pts).all():
         return pts
     return _read_xyz_lines(path)
@@ -95,22 +92,20 @@ def read_xyz(path):
 def _read_xyz_lines(path):
     """Line-by-line reference parser behind read_xyz."""
     points = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if _skipped(raw):
+            if raw.strip()[:1] in ("", "#"):
                 continue
             tokens = raw.split()
             if len(tokens) != 3:
                 raise ParseError(lineno, "expected 3 tokens")
             points.append(_parse_floats(tokens, lineno))
-    if not points:
-        return np.empty((0, 3))
-    return np.array(points)
+    return np.array(points).reshape(-1, 3)
 
 
 def write_xyz(ps, path):
     pts = validate(ps)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_rows(fh, pts, 3)
 
 
@@ -119,15 +114,20 @@ def read_grid(path):
 
     Format: header line `PSGRID 1`, dims line `D D D` (cubic), origin line
     `ox oy oz`, cell-size line `h`, then D^3 whitespace-separated values in
-    [0, 1], z fastest and x slowest. A body of plain numeric rows is parsed
-    in one numpy call; the line parser takes every other body.
+    [0, 1], z fastest and x slowest. A body of equal-width numeric rows is
+    parsed in one np.loadtxt call; the line parser takes every other body.
     """
-    with open(path) as fh:
+    path = os.fsdecode(path)  # np.loadtxt takes no bytes path
+    with open(path, encoding="utf-8") as fh:
         dx, origin, h = _grid_header("".join(islice(fh, 4)).split("\n"))
-        values = _loadtxt(fh)
-        # a NaN fails both comparisons
-        if values is None or not (values.min() >= 0.0 and values.max() <= 1.0):
-            fh.seek(0)
+        rows = any(line.split() for line in fh)  # loadtxt warns on input without rows
+    try:
+        values = np.loadtxt(path, skiprows=4, comments=None, ndmin=2,
+                            encoding="utf-8") if rows else None
+    except ValueError:  # a bad token, a ragged row or undecodable bytes
+        values = None
+    if values is None or not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
+        with open(path, encoding="utf-8") as fh:
             values = np.fromiter(_grid_values_lines(islice(fh, 4, None), 5), np.float64)
     if values.size != dx ** 3:
         raise DimensionMismatch(f"expected {dx ** 3} values, got {values.size}")
@@ -178,20 +178,19 @@ def write_grid(g, path):
     d = g.dims
     if not (g.values.min() >= 0.0 and g.values.max() <= 1.0):  # NaN fails both
         raise ValueError("grid values outside [0, 1]; saturate or binarize first")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(GRID_HEADER + "\n")
         fh.write(f"{d} {d} {d}\n")
         fh.write(" ".join(fmt_float(c) for c in g.origin) + "\n")
         fh.write(fmt_float(g.cell_size) + "\n")
-        _write_rows(fh, g.values, d, distinct=True)  # one z-run per line
+        _write_rows(fh, g.values, d)  # one z-run per line
 
 
 def read_distribution_spec(path):
     """Read and validate a JSON shape-distribution spec, filling defaults."""
-    with open(path) as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.msg) from None
     if not isinstance(data, dict):

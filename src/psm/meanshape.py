@@ -445,5 +445,5 @@ def emit_plot(x, spec, path):
     for px, py in to_px(x):
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.4" fill="#cc2222"/>')
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

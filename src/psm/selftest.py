@@ -55,19 +55,19 @@ def check_io_roundtrips():
         assert np.array_equal(grid.origin, gback.origin)
         assert grid.cell_size == gback.cell_size
         spath = os.path.join(d, "s.json")
-        with open(spath, "w") as fh:
+        with open(spath, "w", encoding="utf-8") as fh:
             json.dump({"family": "circle_radius", "r_min": 0.5, "r_max": 1.5,
                        "n_points": 64}, fh)
         spec = psio.read_distribution_spec(spath)
         assert spec.params["r_min"] == 0.5 and spec.n_points == 64
-        with open(spath, "w") as fh:
+        with open(spath, "w", encoding="utf-8") as fh:
             json.dump({"family": "torus"}, fh)
         try:
             psio.read_distribution_spec(spath)
             raise AssertionError("UnknownFamily not raised")
         except UnknownFamily:
             pass
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("0 0\n")
         try:
             psio.read_xyz(path)

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -348,6 +349,23 @@ def test_mon_bundle_field_types(mon_files, tmp_path, fields):
     assert r.returncode == 1
     assert r.stderr.startswith("error: bundle manifest needs")
     assert len(r.stderr.splitlines()) == 1
+
+
+def test_utf8_files_under_ascii_locale(tmp_path):
+    # files are UTF-8 whatever the locale: a comment and a manifest name
+    # outside ASCII, read where Python's default text encoding is ASCII
+    (tmp_path / "u.xyz").write_bytes("# café ✓\n0 0 0\n1 0 0\n".encode())
+    with open(os.path.join(os.fsencode(tmp_path), "cé.xyz".encode()), "wb") as fh:
+        fh.write(b"0 0 0\n")  # a bytes name: the suite's own locale may be ASCII
+    manifest = tmp_path / "b.json"
+    manifest.write_bytes(json.dumps({"groundtruth": "u.xyz", "candidates": ["cé.xyz"]},
+                                    ensure_ascii=False).encode())
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    xyz = str(tmp_path / "u.xyz")
+    for argv in (["chamfer", xyz, xyz], ["mon", "--bundle", str(manifest)]):
+        r = subprocess.run([sys.executable, "-m", "psm.cli", *argv], env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
 
 def test_threads_env_starts_no_pool(mon_files, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """Text formats: .xyz files, PSGRID grids, JSON distribution specs."""
 
-import io
+import os
 import re
 from itertools import islice
 from pathlib import Path
@@ -109,7 +109,7 @@ def test_writers_match_per_value_fmt_float(tmp_path):
 
 @pytest.mark.parametrize("kind", ["binary", "raw", "negative_zero", "tiny"])
 def test_write_grid_body_matches_per_value_rows(tmp_path, kind):
-    # write_grid formats each distinct value once; the text must not change
+    # the body is one fmt_float per value, one z-run per line
     rng = np.random.default_rng(9)
     d = 32
     values = (rng.random(d ** 3) < 0.1).astype(np.float64)
@@ -121,9 +121,16 @@ def test_write_grid_body_matches_per_value_rows(tmp_path, kind):
         values[::5] = 1e-300
     p = tmp_path / "g.psgrid"
     psio.write_grid(OccupancyGrid(d, [0, 0, 0], 1.0, values.reshape(d, d, d)), p)
-    body = io.StringIO()
-    psio._write_rows(body, values, d)
-    assert p.read_text().split("\n", 4)[4] == body.getvalue()
+    body = "".join(" ".join(psio.fmt_float(v) for v in row) + "\n"
+                   for row in values.reshape(d * d, d))
+    assert p.read_text().split("\n", 4)[4] == body
+
+
+def test_readers_take_bytes_paths(tmp_path):
+    psio.write_xyz([(0, 1, 2)], tmp_path / "a.xyz")
+    assert psio.read_xyz(os.fsencode(tmp_path / "a.xyz")).tolist() == [[0, 1, 2]]
+    psio.write_grid(OccupancyGrid(1, [0, 0, 0], 1.0, np.ones((1, 1, 1))), tmp_path / "g.grid")
+    assert psio.read_grid(os.fsencode(tmp_path / "g.grid")).values.tolist() == [[[1.0]]]
 
 
 def test_xyz_round_trip_exact(tmp_path):
@@ -173,6 +180,13 @@ XYZ_PARITY = {
     "undecodable": b"0 1 2\n\xff 1 2\n",
     "empty": b"",
     "blank_only": b"\n \n",
+    "comment_glued_after_comment_line": b"# a\n0 1 #2\n",
+    "comment_glued_to_three_wide_row": b"# a\n0 1 2 #3\n",
+    "comment_after_tab": b"\t# t\n0 1 2\n",
+    "comment_last_without_newline": b"0 1 2\n# end",
+    "comment_crlf": b"0 1 2\r\n# x\r\n3 4 5\r\n",
+    "comments_only": b"# a\n# b\n",
+    "comment_after_form_feed": b"\x0c# x\n0 1 2\n",
 }
 
 
@@ -212,6 +226,32 @@ def test_read_xyz_mid_file_comment_keeps_numpy_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(psio, "_read_xyz_lines", refuse)
     assert outcome(psio.read_xyz, p) == want
+
+
+@pytest.mark.parametrize("layout", ["trailing_comment", "comment_every_100_rows"])
+def test_read_xyz_comment_lines_take_one_loadtxt_call(tmp_path, monkeypatch, layout):
+    # a file whose every '#' opens a line is one np.loadtxt call on its path
+    rng = np.random.default_rng(6)
+    p = tmp_path / "a.xyz"
+    psio.write_xyz(rng.normal(size=(500, 3)), p)
+    lines = p.read_text().splitlines(keepends=True)
+    if layout == "trailing_comment":
+        lines.append("# end of cloud\n")
+    else:
+        for i in range(400, 0, -100):
+            lines.insert(i, f"  # row {i}\n")
+    p.write_text("".join(lines))
+    want = outcome(psio._read_xyz_lines, p)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def refuse(path):
+        raise AssertionError("line parser reached")
+
+    monkeypatch.setattr(psio, "_read_xyz_lines", refuse)
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    assert outcome(psio.read_xyz, p) == want
+    assert [tuple(map(str, args)) for args in calls] == [(str(p),)]
 
 
 TOKENS = ["0", "1", "-2.5e-3", "+.5", "7_0", "nan", "-inf", "x", "#", "#c", "1e400"]
