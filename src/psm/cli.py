@@ -80,7 +80,7 @@ def _cmd_chamfer(args):
 
 
 def _cmd_emd(args):
-    params = AuctionParams(args.eps, args.budget_ms / 1000.0)
+    params = AuctionParams(args.eps, args.budget_entries)
     params.check()  # on every route, so a bad flag never passes unnoticed
     a = psio.read_xyz(args.a)
     b = psio.read_xyz(args.b)
@@ -105,10 +105,10 @@ def _cmd_emd(args):
         obj["achieved_eps"] = res.achieved_eps
         obj["budget_relaxed"] = res.budget_relaxed
         obj["params"] = {"target_rel_err": params.target_rel_err,
-                         "time_budget_s": params.time_budget_s}
+                         "budget_entries": params.budget_entries}
         print(f"auction: achieved_eps={res.achieved_eps:.6g} "
               f"target_rel_err={params.target_rel_err:g} "
-              f"budget_ms={args.budget_ms:g} "
+              f"budget_entries={params.budget_entries} "
               f"budget_relaxed={res.budget_relaxed}", file=sys.stderr)
     _emit(args, obj, [fmt12(value)])
     return 0
@@ -259,9 +259,8 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.01,
                    help="auction target relative error (default 0.01; "
                         f"the auction runs above s = {EXACT_LIMIT})")
-    p.add_argument("--budget-ms", type=float, default=1000.0,
-                   help="auction time budget per instance (default 1000; "
-                        f"the auction runs above s = {EXACT_LIMIT})")
+    p.add_argument("--budget-entries", type=int, default=AuctionParams.budget_entries,
+                   help="cost entries the auction's bids may read (default %(default)s)")
     p.add_argument("--grad", metavar="OUT.xyz",
                    help="write the gradient with respect to A")
     p.add_argument("--dump-matching", metavar="OUT.txt",

@@ -120,7 +120,7 @@ class DistanceResult:
     populated only by the approximate assignment route: the relative
     optimality bound it certifies, and whether that bound may miss the
     requested target because the final epsilon stayed above the target's
-    floor (the time budget ran out, or float64 could not resolve the floor).
+    floor (the work budget ran out, or float64 could not resolve the floor).
     """
 
     value: float

@@ -18,22 +18,20 @@ A coincident pair contributes a zero vector, a valid subgradient there.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .core import DistanceResult, check_pair
+from .core import DistanceResult, as_int, check_pair
 from .errors import InstanceTooLarge
 
-# Memory does not set this limit: the auction holds the same s x s cdist
-# matrix, plus an s x s gathered copy in its first round. Time does. scipy's
-# LSA (Crouse 2016) beats the default auction on uniform clouds up to here:
-# 94 vs 281 ms CPU at s=1024, 798 vs 1037 ms at s=2048; at s=4096 it takes
-# 2.6 s for the optimum, where the auction's 1 s budget leaves it 16 % above
-# (2-vCPU x86 guest, scipy 1.17).
+# Memory does not set this limit (the auction holds the same s x s cdist
+# matrix, and a gathered copy in its first round); time does. scipy's LSA
+# (Crouse 2016) beats the default auction on uniform clouds up to here: 94 vs
+# 281 ms CPU at s=1024, 798 vs 1037 ms at s=2048; at s=4096 LSA takes 2.8 s,
+# the auction 1.2 s to stop 17 % above the optimum (2-vCPU x86, scipy 1.17).
 EXACT_LIMIT = 4096
 
 # The auction's epsilon shrinks by this factor per phase.
@@ -50,25 +48,28 @@ class Assignment:
 
 @dataclass
 class AuctionParams:
-    """The auction's two knobs: the relative error to certify, and the time
-    allowed for it.
+    """The auction's two knobs: the relative error to certify, and the work
+    allowed for it, in cost entries read by bids (unassigned bidders times s).
 
     Epsilon starts at max_cost / 2 and shrinks by EPS_SCALING per phase
     down to min(t, 1) * cost / (2 s), t = target_rel_err, which places the
     certified bound inside the target: at most t / (2 - t) for t <= 1, and
-    at most 1 above. When time_budget_s runs out first, the last complete
-    assignment is returned and its certified bound (achieved_eps) widens
-    accordingly.
+    at most 1 above. A phase after the first that would read past
+    budget_entries is dropped; the last complete assignment is returned and
+    its certified bound (achieved_eps) widens accordingly.
     """
 
     target_rel_err: float = 0.01
-    time_budget_s: float = 1.0
+    # Uniform pairs read 3.1-3.4e7 at s=1024 and 1.37-1.46e8 at s=2048 (seeds
+    # 0-3) to certify 0.01; at s=4096 (seed 0) this drops the fourth phase
+    # after 1.1-1.2 s CPU (4-8 ns an entry, 2-vCPU x86 guest, numpy 2.4).
+    budget_entries: int = 250_000_000
 
     def check(self):
         if not 0 < self.target_rel_err < math.inf:
             raise ValueError("target_rel_err must be finite and > 0")
-        if not self.time_budget_s > 0:
-            raise ValueError("time_budget_s must be > 0")
+        if as_int(self.budget_entries, "budget_entries") < 1:
+            raise ValueError("budget_entries must be >= 1")
 
 
 def default_backend(s):
@@ -100,9 +101,9 @@ def emd_exact(a, b, want_grad=False):
     return _emd(*check_pair(a, b, same_size=True), want_grad, "exact")
 
 
-def _auction_phase(cost, prices, owner, assigned_item, eps, deadline):
-    """One Jacobi bidding phase. Returns True once the assignment is
-    complete, False if the deadline passes first.
+def _auction_phase(cost, prices, eps, spent, limit):
+    """One Jacobi bidding phase from an empty assignment: (each bidder's item,
+    spent plus the cost entries its bids read), or None if that passes limit.
 
     All currently unassigned bidders bid simultaneously; each item goes to
     the highest bid (ties to the lowest bidder index), displacing any
@@ -110,12 +111,15 @@ def _auction_phase(cost, prices, owner, assigned_item, eps, deadline):
     preserves eps-complementary slackness throughout.
     """
     s = cost.shape[0]
+    owner = np.full(s, -1, dtype=np.int64)
+    assigned_item = np.full(s, -1, dtype=np.int64)
     while True:
         unassigned = np.flatnonzero(assigned_item < 0)
         if unassigned.size == 0:
-            return True
-        if time.perf_counter() > deadline:
-            return False
+            return assigned_item, spent
+        spent += unassigned.size * s
+        if spent > limit:
+            return None
         # benefit - price, negating the gathered rows in place: bit for bit
         # (-cost) - prices, without holding a negated copy of the matrix
         v = cost[unassigned]
@@ -154,18 +158,15 @@ def _auction(a, b, params):
     prices = np.zeros(s)
     eps = cmax / 2.0
     tiny = 1e-15 * cmax
-    t0 = time.perf_counter()
-    # the first phase, at eps = cmax / 2, is cheap and always runs to the
-    # end, so there is an assignment to return; later phases stop at a hard
-    # deadline well past the budget, which is otherwise checked between them
-    deadline = math.inf
+    # the first phase, at eps = cmax / 2, always runs to its end, so there is
+    # an assignment to return; a later one that reads past the budget is dropped
+    spent, limit = 0, math.inf
     floor = 0.0
     while True:
-        owner = np.full(s, -1, dtype=np.int64)
-        assigned_item = np.full(s, -1, dtype=np.int64)
-        if not _auction_phase(cost, prices, owner, assigned_item, eps, deadline):
+        phase = _auction_phase(cost, prices, eps, spent, limit)
+        if phase is None:
             break
-        perm, eps_final = assigned_item, eps
+        (perm, spent), eps_final = phase, eps
         per_pair = cost[np.arange(s), perm]
         value = float(np.sum(per_pair))
         slack = s * eps
@@ -177,10 +178,10 @@ def _auction(a, b, params):
         if eps > floor or achieved > params.target_rel_err:
             target_floor = min(params.target_rel_err, 1.0) * value / (2.0 * s)
             floor = max(target_floor, tiny)
-        if eps <= floor or time.perf_counter() - t0 > params.time_budget_s:
+        if eps <= floor:
             break
         eps = max(eps * EPS_SCALING, floor)
-        deadline = t0 + 16.0 * params.time_budget_s
+        limit = params.budget_entries
 
     if value <= 0.0:  # a zero-cost matching is optimal whatever eps found it
         return perm, per_pair, 0.0, False
@@ -216,8 +217,8 @@ def emd_auction(a, b, params=None, want_grad=False):
     s * eps_final; the conversion uses the returned cost itself. The
     result's budget_relaxed is True when achieved_eps exceeds
     params.target_rel_err or the final epsilon stays above the floor the
-    target asks for: the time budget ran out, or on near-coincident sets
-    float64 cannot resolve that floor.
+    target asks for: params.budget_entries ran out, or on near-coincident
+    sets float64 cannot resolve that floor.
     """
     res, assignment = _emd(*check_pair(a, b, same_size=True), want_grad,
                            "auction", params)

@@ -123,7 +123,7 @@ def test_emd_auction_reports_achieved_eps(pair, monkeypatch, capsys):
     assert code == 0
     assert obj["backend"] == "auction"
     assert obj["achieved_eps"] >= 0.0
-    assert obj["params"] == {"target_rel_err": 0.01, "time_budget_s": 1.0}
+    assert obj["params"] == {"target_rel_err": 0.01, "budget_entries": 250_000_000}
     assert "achieved_eps=" in err
     # sound on this instance: optimum is 2.0
     assert obj["value"] >= 2.0 - 1e-9
@@ -133,7 +133,7 @@ def test_emd_auction_reports_achieved_eps(pair, monkeypatch, capsys):
 
 
 def test_emd_auction_reports_budget_relaxation(pair, monkeypatch, capsys):
-    code, obj, err = run_auction(pair, monkeypatch, capsys, "--budget-ms", "1e-6")
+    code, obj, err = run_auction(pair, monkeypatch, capsys, "--budget-entries", "1")
     assert code == 0
     assert obj["budget_relaxed"] is True
     assert obj["achieved_eps"] > obj["params"]["target_rel_err"]
@@ -150,13 +150,19 @@ def test_emd_has_no_solver_option(pair, flag):
 
 def test_emd_checks_auction_flags_on_every_route(pair):
     # 2 points take the exact solver, which never reads the flags
-    r = run_cli("emd", *pair, "--eps", "-1", "--budget-ms", "-5")
+    r = run_cli("emd", *pair, "--eps", "-1", "--budget-entries", "-5")
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == "error: target_rel_err must be finite and > 0\n"
-    r = run_cli("emd", *pair, "--budget-ms", "nan")
+    r = run_cli("emd", *pair, "--budget-entries", "0")
     assert r.returncode == 1
-    assert r.stderr == "error: time_budget_s must be > 0\n"
+    assert r.stderr == "error: budget_entries must be >= 1\n"
+
+
+def test_emd_budget_is_an_integer_count(pair):
+    r = run_cli("emd", *pair, "--budget-entries", "1e6")
+    assert r.returncode == 2
+    assert "--budget-entries" in r.stderr and r.stdout == ""
 
 
 def test_emd_default_route_is_the_library_rule(pair, monkeypatch, capsys):
@@ -511,10 +517,10 @@ def test_docs_name_every_subcommand():
     subcommands = set(next(a for a in build_parser()._actions
                            if isinstance(a, argparse._SubParsersAction)).choices)
     root = Path(__file__).parents[1]
-    readme = (root / "README.md").read_text()
+    readme = (root / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI")[1].split("```")[1]
     assert set(re.findall(r"^psm (\w+)", block, flags=re.M)) == subcommands
-    doc = (root / "docs" / "formats.md").read_text()
+    doc = (root / "docs" / "formats.md").read_text(encoding="utf-8")
     section = doc.split("## CLI outputs")[1].split("\n### ")[0]
     listed = set(re.findall(r"^- `(\w+)`:", section, flags=re.M))
     assert listed == subcommands

@@ -8,6 +8,7 @@ keeps the best, so anything it certifies is ground truth for s <= 8.
 import importlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -249,9 +250,9 @@ def test_auction_runs_the_floor_phase_once(monkeypatch):
     phase = mod._auction_phase
     seen = []
 
-    def logged(cost, prices, owner, assigned_item, eps, deadline):
+    def logged(cost, prices, eps, spent, limit):
         seen.append(eps)
-        return phase(cost, prices, owner, assigned_item, eps, deadline)
+        return phase(cost, prices, eps, spent, limit)
 
     monkeypatch.setattr(mod, "_auction_phase", logged)
     rng = np.random.default_rng(0)
@@ -277,6 +278,36 @@ def test_auction_deterministic():
     assert np.array_equal(as1.perm, as2.perm)
 
 
+def test_auction_stops_on_its_count_not_the_clock(monkeypatch):
+    # a call that the count stops in its fourth phase, and the default route
+    # above a lowered EXACT_LIMIT, return the same bits while every clock read
+    # jumps 1000 s
+    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
+    rng = np.random.default_rng(48)
+    a, b = pair(rng, 64)
+
+    def run():
+        res, assignment, achieved = emd_auction(a, b, AuctionParams(0.01, 50_000))
+        routed = emd(a, b, want_grad=True)
+        return (assignment.perm.tobytes(), res.value.hex(), achieved,
+                res.budget_relaxed, routed.value.hex(), routed.grad_a.tobytes(),
+                routed.achieved_eps, routed.budget_relaxed)
+
+    calm = run()
+    reads = itertools.count()
+    for clock in ("perf_counter", "monotonic"):
+        monkeypatch.setattr(time, clock, lambda: 1000.0 * next(reads))
+    assert run() == calm
+    assert calm[3] is True and calm[7] is False  # the count ran out, the default did not
+
+
+def test_auction_budget_is_a_count():
+    for count in (1.5, 1e9, True, "100"):
+        with pytest.raises(TypeError):
+            AuctionParams(budget_entries=count).check()
+    AuctionParams(budget_entries=np.int64(1)).check()
+
+
 def test_auction_budget_relaxation_still_sound():
     # a vanishing budget stops the schedule after its first phase; the result
     # must remain a complete bijection with an honest (wider) certificate
@@ -284,7 +315,7 @@ def test_auction_budget_relaxation_still_sound():
     a, b = pair(rng, 32)
     exact = emd_exact(a, b)[0].value
     res, assignment, achieved = emd_auction(
-        a, b, AuctionParams(time_budget_s=1e-9))
+        a, b, AuctionParams(budget_entries=1))
     assert sorted(assignment.perm.tolist()) == list(range(32))
     assert res.value <= (1.0 + achieved) * exact + 1e-9
     # the target was missed, and the result says why
@@ -305,7 +336,7 @@ def test_auction_tight_target_reaches_exact():
 def test_auction_params_validation():
     AuctionParams().check()
     bad = [dict(target_rel_err=0.0), dict(target_rel_err=math.inf),
-           dict(time_budget_s=0.0)]
+           dict(budget_entries=0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             AuctionParams(**kwargs).check()

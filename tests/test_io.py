@@ -294,7 +294,7 @@ GRID_BODY_PARITY = {
 
 def read_grid_lines(path):
     """The line parser plus the count rule: the reference behind read_grid."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         d, _, _ = psio._grid_header("".join(islice(fh, 4)).split("\n"))
         values = np.fromiter(psio._grid_values_lines(fh, 5), np.float64)
     if values.size != d ** 3:
@@ -518,7 +518,7 @@ def test_distribution_spec_bad_json_line(tmp_path):
 
 
 def test_formats_doc_lists_family_parameters():
-    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
     section = doc.split("Families and their parameters")[1].split("\n\n")[1]
     listed = {}
     for item in re.findall(r"^- `(\w+)`: (.*?)\.\s", section, flags=re.M | re.S):

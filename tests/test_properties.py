@@ -318,8 +318,8 @@ def test_assignment_kernel_equals_exact_in_3d_and_in_plane(pair):
 @CHECKED
 @given(equal_size_pairs(max_size=48, kinds=PAIR_KINDS))
 def test_auction_kernel_equals_public_auction_in_3d_and_in_plane(pair):
-    # at s <= 48 no phase comes near the 1 s budget, so both runs take the
-    # same phases
+    # the auction stops on the work it counts, not on the clock, so both runs
+    # take the same phases
     for (ka, kb), (pa, pb) in kernel_and_public_args(*pair):
         res, assignment, achieved = emd_auction(pa, pb, want_grad=True)
         perm, cost, k_achieved, k_relaxed = _auction(ka, kb, AuctionParams())
@@ -338,7 +338,7 @@ def test_auction_within_its_certificate(pair):
     exact = emd_exact(a, b)[0].value
     res, assignment, achieved = emd_auction(a, b)
     assert sorted(assignment.perm.tolist()) == list(range(len(a)))
-    # at s <= 48 the auction takes well under 0.1 s of its 1 s budget
+    # the default budget holds over 1e5 full bidding rounds at s <= 48
     assert res.budget_relaxed is False and achieved <= 0.01
     assert exact * (1 - SUM_RTOL) <= res.value <= (1 + achieved) * exact * (1 + SUM_RTOL)
 
