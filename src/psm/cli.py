@@ -48,20 +48,20 @@ def _emit(args, obj, human_lines):
             print(line)
 
 
-def _parse_triple(text, what):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{what} must be three comma-separated numbers")
-    return [float(p) for p in parts]
+def _parse_fields(text, flag, types, usage):
+    """A flag's comma-separated fields, each converted by its type; a wrong
+    count or a field its type refuses raises ValueError naming the flag."""
+    try:
+        return [t(p) for t, p in zip(types, text.split(","), strict=True)]
+    except ValueError:
+        raise ValueError(f"{flag} takes {usage}, got {text!r}") from None
 
 
 def _scale_from(args):
     if args.grid_unit is None:
         return 1.0
-    parts = args.grid_unit.split(",")
-    if len(parts) != 2:
-        raise ValueError("--grid-unit takes DIMS,CELL")
-    return grid_unit_scale(int(parts[0]), float(parts[1]))
+    return grid_unit_scale(*_parse_fields(args.grid_unit, "--grid-unit", (int, float),
+                                          "DIMS,CELL: an integer and a number"))
 
 
 def _cmd_chamfer(args):
@@ -80,8 +80,7 @@ def _cmd_chamfer(args):
 
 
 def _cmd_emd(args):
-    params = AuctionParams(args.eps, args.budget_entries)
-    params.check()  # on every route, so a bad flag never passes unnoticed
+    params = AuctionParams(args.eps, args.budget_entries)  # checked before any file is read
     a = psio.read_xyz(args.a)
     b = psio.read_xyz(args.b)
     want_grad = args.grad is not None
@@ -97,8 +96,8 @@ def _cmd_emd(args):
         psio.write_xyz(res.grad_a / div, args.grad)
     if args.dump_matching is not None:
         with open(args.dump_matching, "w", encoding="utf-8", newline="\n") as fh:
-            for i, j in enumerate(assignment.perm):
-                fh.write(f"{i} {j} {psio.fmt_float(assignment.per_pair_cost[i])}\n")
+            psio._write_rows(fh, np.column_stack([np.arange(s), assignment.perm,
+                                                  assignment.per_pair_cost]), 3)
     obj = {"command": "emd", "value": value, "backend": res.backend,
            "normalize": args.normalize, "scale": scale}
     if res.backend == "auction":
@@ -126,7 +125,7 @@ def _cmd_fps(args):
 
 def _cmd_voxelize(args):
     pts = psio.read_xyz(args.input)
-    origin = _parse_triple(args.origin, "--origin")
+    origin = _parse_fields(args.origin, "--origin", (float,) * 3, "three comma-separated numbers")
     g = splat(pts, args.dims, origin, args.cell,
               clamp_points=not args.no_clamp)
     b = binarize(g, args.threshold)  # --raw still counts occupied cells by it
@@ -149,10 +148,8 @@ def _cmd_mon(args):
     if args.bundle is not None:
         if args.groundtruth is not None or args.candidates:
             raise ValueError("give either --bundle or positional paths, not both")
-        with open(args.bundle, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict) \
-                or not isinstance(manifest.get("groundtruth"), str) \
+        manifest = psio._read_json_object(args.bundle)
+        if not isinstance(manifest.get("groundtruth"), str) \
                 or not isinstance(manifest.get("candidates"), list) \
                 or not all(isinstance(c, str) for c in manifest["candidates"]):
             raise ValueError("bundle manifest needs a 'groundtruth' path and "
@@ -225,7 +222,13 @@ def _cmd_meanshape(args):
 
 def _cmd_selftest(args):
     from .selftest import run_selftest
-    failures = run_selftest(json_mode=args.json)
+    results = run_selftest()
+    failures = sum(not row["ok"] for row in results)
+    lines = [f"ok   {row['check']}" if row["ok"] else f"FAIL {row['check']}: {row['detail']}"
+             for row in results]
+    lines.append(f"{failures} of {len(results)} checks failed" if failures
+                 else f"all {len(results)} checks passed")
+    _emit(args, {"command": "selftest", "failures": failures, "results": results}, lines)
     return 1 if failures else 0
 
 

@@ -46,10 +46,11 @@ class Assignment:
     per_pair_cost: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuctionParams:
     """The auction's two knobs: the relative error to certify, and the work
     allowed for it, in cost entries read by bids (unassigned bidders times s).
+    Checked when made (a finite target > 0, an integer budget >= 1); frozen.
 
     Epsilon starts at max_cost / 2 and shrinks by EPS_SCALING per phase
     down to min(t, 1) * cost / (2 s), t = target_rel_err, which places the
@@ -65,7 +66,7 @@ class AuctionParams:
     # after 1.1-1.2 s CPU (4-8 ns an entry, 2-vCPU x86 guest, numpy 2.4).
     budget_entries: int = 250_000_000
 
-    def check(self):
+    def __post_init__(self):
         if not 0 < self.target_rel_err < math.inf:
             raise ValueError("target_rel_err must be finite and > 0")
         if as_int(self.budget_entries, "budget_entries") < 1:
@@ -146,8 +147,8 @@ def _auction_phase(cost, prices, eps, spent, limit):
 
 def _auction(a, b, params):
     """The epsilon-scaling auction on checked, equal-size float64 arrays of
-    one row width (any), params checked: (perm, per-pair Euclidean costs,
-    achieved_eps, budget_relaxed)."""
+    one row width (any): (perm, per-pair Euclidean costs, achieved_eps,
+    budget_relaxed)."""
     s = len(a)
     cost = cdist(a, b)
     cmax = float(cost.max())
@@ -192,7 +193,8 @@ def _auction(a, b, params):
 
 def _emd(a, b, want_grad, backend=None, params=None):
     """EMD of a checked pair on any row width, by the named backend or, by
-    default, default_backend's: (DistanceResult, Assignment)."""
+    default, default_backend's: (DistanceResult, Assignment). The auction
+    takes params, checked when made, or AuctionParams() if None."""
     backend = default_backend(len(a)) if backend is None else backend
     bound = ()  # the auction's (achieved_eps, budget_relaxed)
     if backend == "exact":
@@ -200,9 +202,7 @@ def _emd(a, b, want_grad, backend=None, params=None):
             raise InstanceTooLarge(len(a), EXACT_LIMIT)
         perm, per_pair = _assign(a, b)
     else:
-        params = AuctionParams() if params is None else params
-        params.check()
-        perm, per_pair, *bound = _auction(a, b, params)
+        perm, per_pair, *bound = _auction(a, b, params or AuctionParams())
     grads = _grads_from_perm(a, b, perm) if want_grad else (None, None)
     return (DistanceResult(float(np.sum(per_pair)), *grads, backend, *bound),
             Assignment(perm, per_pair))

@@ -36,8 +36,8 @@ class InstanceTooLarge(ValueError):
 
 
 class KOutOfRange(ValueError):
-    def __init__(self, k, n):
-        super().__init__(f"k={k} out of range for set of size {n}")
+    def __init__(self, k, n, name="k"):
+        super().__init__(f"{name}={k} out of range for set of size {n}")
 
 
 class ParseError(ValueError):

@@ -186,8 +186,8 @@ def write_grid(g, path):
         _write_rows(fh, g.values, d)  # one z-run per line
 
 
-def read_distribution_spec(path):
-    """Read and validate a JSON shape-distribution spec, filling defaults."""
+def _read_json_object(path):
+    """A JSON file's object; ParseError names the line of a syntax error, or 1."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -195,4 +195,9 @@ def read_distribution_spec(path):
         raise ParseError(e.lineno, e.msg) from None
     if not isinstance(data, dict):
         raise ParseError(1, "expected a JSON object")
-    return spec_from_dict(data)
+    return data
+
+
+def read_distribution_spec(path):
+    """Read and validate a JSON shape-distribution spec, filling defaults."""
+    return spec_from_dict(_read_json_object(path))

@@ -325,12 +325,13 @@ def draw_shape(spec, rng):
     return np.pad(_points(spec, _hidden(spec, rng)), ((0, 0), (0, 1)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgdConfig:
     """Optimizer settings. Defaults complete in minutes at n_points=256.
 
-    The step size decays as lr0 / (1 + t / t_half). m is the number of free
-    points (None: match spec.n_points, which the assignment metric requires).
+    The step size decays as lr0 / (1 + t / t_half), constant at t_half = inf.
+    m is the number of free points (None: match spec.n_points, which the
+    assignment metric requires). Checked when made; frozen.
     """
 
     metric: str = "cd"
@@ -341,14 +342,17 @@ class SgdConfig:
     m: int | None = None
     seed: int = 0
 
-    def check(self):
+    def __post_init__(self):
         _check_metric(self.metric)
         for name in ("steps", "batch") + (() if self.m is None else ("m",)):
             as_int(getattr(self, name), name)
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be >= 1")
-        if not self.lr0 > 0 or not self.t_half > 0:
-            raise ValueError("lr0 and t_half must be > 0")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be finite and > 0")
+        if not self.t_half > 0:
+            raise ValueError("t_half must be > 0")
+        _require(self.m is None or self.m >= 1, "m must be >= 1")
 
 
 def _loss_and_grad(x, shape, metric):
@@ -379,12 +383,9 @@ def optimize_mean_shape(spec, cfg, threads=1):
     pool (ordered_map checks it). Hidden variables are drawn serially, so the
     trajectory does not depend on the worker count.
     """
-    cfg.check()
     m = spec.n_points if cfg.m is None else int(cfg.m)
     if cfg.metric == "emd" and m != spec.n_points:
         raise SizeMismatch(m, spec.n_points)
-    if m < 1:
-        raise InvalidParameter("m must be >= 1")
     init_rng, draw_rng = RandomSource(cfg.seed).split(2)
     x = init_rng.uniform(0.0, 1.0, (m, 2))
     trace = np.empty(cfg.steps)

@@ -47,7 +47,7 @@ def farthest_point_sample(ps, k, seed=0, start_index=None):
     else:
         start = as_int(start_index, "start_index")
         if not 0 <= start < n:
-            raise KOutOfRange(start, n)
+            raise KOutOfRange(start, n, "start_index")
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
     axis = int(np.argmax(np.ptp(pts, axis=0)))

@@ -92,6 +92,23 @@ def test_emd_exact_value_matching_grad(pair, tmp_path):
     assert np.allclose(g, [[0, -1, 0], [0, -1, 0]])
 
 
+def test_emd_dump_matching_bytes(tmp_path):
+    # one `i j cost` line per pair, each cost as fmt_float writes it: integral,
+    # fractional and zero costs
+    from psm.emd import emd_exact
+    from psm.io import fmt_float, read_xyz
+    a = write(tmp_path / "a.xyz", "0 0 0\n1 0 0\n5 0 0\n9 9 9\n")
+    b = write(tmp_path / "b.xyz", "5 0 0.3\n0 2 0\n1 0.5 0\n9 9 9\n")
+    match = tmp_path / "m.txt"
+    assert run_cli("emd", a, b, "--dump-matching", str(match)).returncode == 0
+    _, assignment = emd_exact(read_xyz(a), read_xyz(b))
+    assert match.read_bytes() == "".join(
+        f"{i} {j} {fmt_float(cost)}\n"
+        for i, (j, cost) in enumerate(zip(assignment.perm, assignment.per_pair_cost))).encode()
+    lines = match.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] + lines[3:] == ["0 1 2", "1 2 0.5", "3 3 0"]
+
+
 def test_emd_size_mismatch_message(tmp_path):
     a = write(tmp_path / "a.xyz", "0 0 0\n1 0 0\n")
     b = write(tmp_path / "b.xyz", "0 1 0\n")
@@ -191,6 +208,13 @@ def test_fps_start_index_line(tmp_path):
     assert np.array_equal(got[:, 0], [0.0, 10.0, 5.0])
 
 
+def test_fps_start_index_error_names_it(tmp_path):
+    inp = write(tmp_path / "in.xyz", "0 0 0\n10 0 0\n5 0 0\n")
+    r = run_cli("fps", inp, "--k", "2", "--start-index", "7", "-o", str(tmp_path / "o.xyz"))
+    assert r.returncode == 1
+    assert r.stderr == "error: start_index=7 out of range for set of size 3\n"
+
+
 def test_voxelize_iou_pipeline(tmp_path):
     cloud = write(tmp_path / "c.xyz", "1.5 1.5 1.5\n2.5 2.5 2.5\n")
     g1 = tmp_path / "g1.psgrid"
@@ -260,6 +284,22 @@ def test_grid_unit_rejects_non_finite_scale(pair, unit, message):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == f"error: {message}\n"
+
+
+def test_voxelize_origin_error_names_the_flag(tmp_path):
+    cloud = write(tmp_path / "c.xyz", "0.5 0.5 0.5\n")
+    r = run_cli("voxelize", cloud, "--origin", "a,0,0", "-o", str(tmp_path / "g.psgrid"))
+    assert r.returncode == 1
+    assert r.stderr == "error: --origin takes three comma-separated numbers, got 'a,0,0'\n"
+
+
+@pytest.mark.parametrize("unit", ["32,x", "4.5,1"])
+def test_grid_unit_error_names_the_flag(pair, unit):
+    r = run_cli("chamfer", *pair, "--grid-unit", unit)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == (f"error: --grid-unit takes DIMS,CELL: an integer and a number, "
+                        f"got '{unit}'\n")
 
 
 def test_voxelize_no_clamp_errors_on_outside_point(tmp_path):
@@ -355,6 +395,16 @@ def test_mon_bundle_field_types(mon_files, tmp_path, fields):
     assert r.returncode == 1
     assert r.stderr.startswith("error: bundle manifest needs")
     assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,message", [("not json", "line 1: Expecting value"),
+                                          ('["gt.xyz"]', "line 1: expected a JSON object")])
+def test_mon_bundle_reads_json_as_spec_files_are(mon_files, tmp_path, text, message):
+    manifest = tmp_path / "bundle.json"
+    manifest.write_text(text)
+    r = run_cli("mon", "--bundle", str(manifest))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message}\n"
 
 
 def test_utf8_files_under_ascii_locale(tmp_path):
@@ -454,6 +504,14 @@ def test_meanshape_bad_spec_file(tmp_path):
     assert r.stderr.startswith("error:")
 
 
+def test_meanshape_refuses_non_finite_lr(tmp_path):
+    # an infinite step would first show as a non-finite coordinate of x
+    spec = spec_file(tmp_path, family="circle_radius", n_points=8)
+    r = run_cli("meanshape", "--spec", spec, "--lr", "inf", "--steps", "2")
+    assert r.returncode == 1
+    assert r.stderr == "error: lr0 must be finite and > 0\n"
+
+
 @pytest.mark.parametrize("spec, key", [
     ({"family": "circle_radius", "r_min": "a"}, "r_min"),
     ({"family": ["x"]}, "family"),
@@ -508,6 +566,27 @@ def test_selftest_passes():
     assert len(obj["results"]) == 13
     assert all(set(row) == {"check", "ok"} and row["ok"]
                for row in obj["results"])
+
+
+def test_selftest_reports_a_failure(monkeypatch, capsys):
+    from psm import cli, selftest
+
+    def boom():
+        raise AssertionError("boom at 3")
+
+    monkeypatch.setattr(selftest, "CHECKS", [
+        (name, boom if name == "emd.auction_soundness" else lambda: None)
+        for name, _ in selftest.CHECKS])
+    assert cli.main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and sum(line.startswith("ok   ") for line in lines) == 12
+    assert lines[7] == "FAIL emd.auction_soundness: boom at 3"
+    assert lines[-1] == "1 of 13 checks failed"
+    assert cli.main(["selftest", "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["failures"] == 1
+    assert [row for row in obj["results"] if not row["ok"]] == [
+        {"check": "emd.auction_soundness", "ok": False, "detail": "boom at 3"}]
 
 
 # ------------------------------------------------------------------- docs

@@ -5,6 +5,7 @@ emd_enum below is the oracle: it walks every bijection of the two sets and
 keeps the best, so anything it certifies is ground truth for s <= 8.
 """
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -304,8 +305,8 @@ def test_auction_stops_on_its_count_not_the_clock(monkeypatch):
 def test_auction_budget_is_a_count():
     for count in (1.5, 1e9, True, "100"):
         with pytest.raises(TypeError):
-            AuctionParams(budget_entries=count).check()
-    AuctionParams(budget_entries=np.int64(1)).check()
+            AuctionParams(budget_entries=count)
+    AuctionParams(budget_entries=np.int64(1))
 
 
 def test_auction_budget_relaxation_still_sound():
@@ -334,12 +335,19 @@ def test_auction_tight_target_reaches_exact():
 
 
 def test_auction_params_validation():
-    AuctionParams().check()
+    AuctionParams()
     bad = [dict(target_rel_err=0.0), dict(target_rel_err=math.inf),
            dict(budget_entries=0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            AuctionParams(**kwargs).check()
+            AuctionParams(**kwargs)
+
+
+def test_auction_params_are_frozen():
+    # checked when made, and no assignment can undo that check
+    params = AuctionParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.budget_entries = 0
 
 
 def test_auction_gradients_follow_returned_matching():

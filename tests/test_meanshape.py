@@ -1,7 +1,9 @@
 """Shape distributions and the SGD mean-shape optimizer."""
 
+import dataclasses
 import hashlib
 import importlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -274,19 +276,34 @@ def test_bar_disk_presence():
 # --------------------------------------------------------------- optimizer
 
 def test_config_validation():
-    SgdConfig().check()
+    SgdConfig()
     bad = [dict(metric="hausdorff"), dict(steps=0), dict(batch=0),
            dict(lr0=0.0), dict(t_half=0.0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            SgdConfig(**kwargs).check()
+            SgdConfig(**kwargs)
+
+
+@pytest.mark.parametrize("lr0", [math.inf, -math.inf, math.nan])
+def test_config_refuses_non_finite_lr0(lr0):
+    with pytest.raises(ValueError, match="^lr0 must be finite"):
+        SgdConfig(lr0=lr0)
+    SgdConfig(t_half=math.inf)  # a constant step stays legal
+
+
+def test_config_checks_itself_when_made():
+    with pytest.raises(InvalidParameter, match="^m must be >= 1$"):
+        SgdConfig(m=0)
+    cfg = SgdConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lr0 = math.inf
 
 
 @pytest.mark.parametrize("kwargs", [dict(m=2.5), dict(m=True), dict(m="8"),
                                     dict(steps=2.0), dict(batch=True)])
 def test_config_rejects_non_integer_counts(kwargs):
     with pytest.raises(TypeError):
-        SgdConfig(**kwargs).check()
+        SgdConfig(**kwargs)
     spec = ShapeDistributionSpec("circle_radius", n_points=8)
     with pytest.raises(TypeError):
         optimize_mean_shape(spec, SgdConfig(**{"steps": 1, **kwargs}))

@@ -135,6 +135,11 @@ def test_fps_range_errors():
         farthest_point_sample(np.empty((0, 3)), 1)
 
 
+def test_fps_start_index_error_names_it():
+    with pytest.raises(KOutOfRange, match=r"^start_index=11 out of range for set of size 11$"):
+        farthest_point_sample(line_cloud(), 3, start_index=11)
+
+
 def test_fps_rejects_overflowing_distances():
     # squared distances of 4e400 would all read inf, and the lowest index
     # would win where the farthest point should
