@@ -16,8 +16,8 @@ import os
 
 import numpy as np
 
-from psm.meanshape import (SgdConfig, ShapeDistributionSpec, corner_regions,
-                           emit_plot, optimize_mean_shape)
+from psm.meanshape import (SgdConfig, ShapeDistributionSpec, emit_plot,
+                           optimize_mean_shape, region_fractions)
 
 ap = argparse.ArgumentParser()
 ap.add_argument("--full", action="store_true", help="defaults-sized runs")
@@ -52,10 +52,7 @@ for family, metric in runs:
         r = np.linalg.norm(x[:, :2] - c, axis=1)
         print("   radial spread (rms dev): %.4f  mean radius %.4f"
               % (np.sqrt(np.mean((r - r.mean()) ** 2)), r.mean()))
-    if family == "corner_square":
-        fracs = []
-        for x0, y0, x1, y1 in corner_regions(spec):
-            inside = ((x[:, 0] >= x0) & (x[:, 0] <= x1)
-                      & (x[:, 1] >= y0) & (x[:, 1] <= y1))
-            fracs.append(np.count_nonzero(inside) / len(x))
-        print("   corner fractions:", " ".join("%.3f" % f for f in fracs))
+    regions = region_fractions(x, spec)
+    if regions is not None:
+        key, fracs = regions
+        print("   %s:" % key.replace("_", " "), " ".join("%.3f" % f for f in fracs))

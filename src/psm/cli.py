@@ -10,6 +10,7 @@ flags and input files.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -20,8 +21,8 @@ from .chamfer import chamfer_distance
 from .emd import (EXACT_LIMIT, AuctionParams, default_backend, emd_auction,
                   emd_exact)
 from .losses import METRICS, CandidateBundle, mon_loss
-from .meanshape import (SgdConfig, corner_regions, emit_plot,
-                        optimize_mean_shape)
+from .meanshape import (SgdConfig, emit_plot, optimize_mean_shape,
+                        region_fractions)
 from .sampling import farthest_point_sample
 from .voxel import binarize, grid_unit_scale, iou, splat
 
@@ -42,7 +43,7 @@ def fmt12(v):
 
 def _emit(args, obj, human_lines):
     if args.json:
-        print(json.dumps(obj))
+        print(json.dumps(obj, allow_nan=False))
     else:
         for line in human_lines:
             print(line)
@@ -101,7 +102,8 @@ def _cmd_emd(args):
     obj = {"command": "emd", "value": value, "backend": res.backend,
            "normalize": args.normalize, "scale": scale}
     if res.backend == "auction":
-        obj["achieved_eps"] = res.achieved_eps
+        eps = res.achieved_eps
+        obj["achieved_eps"] = eps if eps < math.inf else None  # JSON has no inf
         obj["budget_relaxed"] = res.budget_relaxed
         obj["params"] = {"target_rel_err": params.target_rel_err,
                          "budget_entries": params.budget_entries}
@@ -176,23 +178,6 @@ def _cmd_mon(args):
     return 0
 
 
-def _region_fractions(x, spec):
-    """Fraction of points inside each attachment region, for reporting."""
-    if spec.family == "corner_square":
-        out = []
-        for x0, y0, x1, y1 in corner_regions(spec):
-            inside = ((x[:, 0] >= x0) & (x[:, 0] <= x1)
-                      & (x[:, 1] >= y0) & (x[:, 1] <= y1))
-            out.append(float(np.count_nonzero(inside)) / len(x))
-        return out
-    if spec.family == "bar_disk":
-        c = np.array(spec.params["disk_center"])
-        r = 1.5 * spec.params["disk_radius"]
-        d = np.linalg.norm(x[:, :2] - c, axis=1)
-        return [float(np.count_nonzero(d <= r)) / len(x)]
-    return None
-
-
 def _cmd_meanshape(args):
     spec = psio.read_distribution_spec(args.spec)
     cfg = SgdConfig(metric=args.metric, steps=args.steps, batch=args.batch,
@@ -207,13 +192,13 @@ def _cmd_meanshape(args):
             fh.write("step,loss\n")
             for t, v in enumerate(trace):
                 fh.write(f"{t},{psio.fmt_float(v)}\n")
-    fractions = _region_fractions(x, spec)
+    regions = region_fractions(x, spec)
     lines = [f"final_loss {fmt12(trace[-1])}"]
     obj = {"command": "meanshape", "family": spec.family,
            "metric": args.metric, "steps": args.steps,
            "final_loss": float(trace[-1])}
-    if fractions is not None:
-        key = "corner_fractions" if spec.family == "corner_square" else "disk_fraction"
+    if regions is not None:
+        key, fractions = regions
         obj[key] = fractions
         lines.append(key + " " + " ".join(f"{f:.4f}" for f in fractions))
     _emit(args, obj, lines)

@@ -87,10 +87,13 @@ class RandomSource:
     Backed by the Philox counter-based bit generator, so a given seed yields
     the same draws on every platform and the stream can be split into
     statistically independent children for parallel work. A RandomSource is
-    single-owner: share children, not the parent.
+    single-owner: share children, not the parent. A seed is an integer >= 0
+    (None, which would draw OS entropy, raises TypeError).
     """
 
     def __init__(self, seed=0, _seq=None):
+        if _seq is None and as_int(seed, "seed") < 0:  # psm checks every seed here
+            raise ValueError("seed must be >= 0")
         self.seed = seed
         self._seq = np.random.SeedSequence(seed) if _seq is None else _seq
         self.gen = np.random.Generator(np.random.Philox(self._seq))
@@ -118,9 +121,9 @@ class DistanceResult:
     (d value / d a_i); grad_b likewise for the second. backend names the
     kernel that produced the value. achieved_eps and budget_relaxed are
     populated only by the approximate assignment route: the relative
-    optimality bound it certifies, and whether that bound may miss the
-    requested target because the final epsilon stayed above the target's
-    floor (the work budget ran out, or float64 could not resolve the floor).
+    optimality bound it certifies, and whether that bound exceeds the
+    requested target_rel_err (the work budget ran out, or float64 could not
+    resolve the target).
     """
 
     value: float

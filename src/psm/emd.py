@@ -52,16 +52,14 @@ class AuctionParams:
     allowed for it, in cost entries read by bids (unassigned bidders times s).
     Checked when made (a finite target > 0, an integer budget >= 1); frozen.
 
-    Epsilon starts at max_cost / 2 and shrinks by EPS_SCALING per phase
-    down to min(t, 1) * cost / (2 s), t = target_rel_err, which places the
-    certified bound inside the target: at most t / (2 - t) for t <= 1, and
-    at most 1 above. A phase after the first that would read past
-    budget_entries is dropped; the last complete assignment is returned and
-    its certified bound (achieved_eps) widens accordingly.
+    Epsilon starts at max_cost / 2 and shrinks by EPS_SCALING per phase, but
+    not below min(t, 1/2) * cost / (2 s), t = target_rel_err, until a phase
+    certifies t (achieved_eps <= t). A phase after the first that would read
+    past budget_entries is dropped, and the last complete one is returned.
     """
 
     target_rel_err: float = 0.01
-    # Uniform pairs read 3.1-3.4e7 at s=1024 and 1.37-1.46e8 at s=2048 (seeds
+    # Uniform pairs read 2.9-3.4e7 at s=1024 and 1.37-1.46e8 at s=2048 (seeds
     # 0-3) to certify 0.01; at s=4096 (seed 0) this drops the fourth phase
     # after 1.1-1.2 s CPU (4-8 ns an entry, 2-vCPU x86 guest, numpy 2.4).
     budget_entries: int = 250_000_000
@@ -162,33 +160,25 @@ def _auction(a, b, params):
     # the first phase, at eps = cmax / 2, always runs to its end, so there is
     # an assignment to return; a later one that reads past the budget is dropped
     spent, limit = 0, math.inf
-    floor = 0.0
+    t = params.target_rel_err
     while True:
         phase = _auction_phase(cost, prices, eps, spent, limit)
         if phase is None:
             break
-        (perm, spent), eps_final = phase, eps
+        perm, spent = phase
         per_pair = cost[np.arange(s), perm]
         value = float(np.sum(per_pair))
         slack = s * eps
         achieved = slack / (value - slack) if value > slack else math.inf
-        # the floor is set until eps reaches it, and moves after that only
-        # when the phase run at the floor missed the target because its value
-        # fell; moving it after every phase would rerun the floor phase at a
-        # hair lower eps until the value happened to rise
-        if eps > floor or achieved > params.target_rel_err:
-            target_floor = min(params.target_rel_err, 1.0) * value / (2.0 * s)
-            floor = max(target_floor, tiny)
-        if eps <= floor:
+        if achieved <= t or eps <= tiny:
             break
-        eps = max(eps * EPS_SCALING, floor)
+        # a missed target puts eps above t * value / ((1 + t) s) > this clamp
+        eps = max(eps * EPS_SCALING, min(t, 0.5) * value / (2.0 * s), tiny)
         limit = params.budget_entries
 
     if value <= 0.0:  # a zero-cost matching is optimal whatever eps found it
         return perm, per_pair, 0.0, False
-    # the second test catches rounding at the floor
-    relaxed = eps_final > target_floor or achieved > params.target_rel_err
-    return perm, per_pair, achieved, relaxed
+    return perm, per_pair, achieved, achieved > t
 
 
 def _emd(a, b, want_grad, backend=None, params=None):
@@ -213,12 +203,10 @@ def emd_auction(a, b, params=None, want_grad=False):
 
     achieved_eps is the certified relative bound: the returned cost is
     at most (1 + achieved_eps) times the optimum. It follows from
-    epsilon-complementary slackness, which caps the absolute gap at
-    s * eps_final; the conversion uses the returned cost itself. The
-    result's budget_relaxed is True when achieved_eps exceeds
-    params.target_rel_err or the final epsilon stays above the floor the
-    target asks for: params.budget_entries ran out, or on near-coincident
-    sets float64 cannot resolve that floor.
+    epsilon-complementary slackness, which caps the absolute gap at s * eps
+    of the returned phase, over the returned cost. budget_relaxed is exactly
+    achieved_eps > params.target_rel_err: params.budget_entries ran out, or
+    on near-coincident sets float64 cannot resolve the target (inf).
     """
     res, assignment = _emd(*check_pair(a, b, same_size=True), want_grad,
                            "auction", params)

@@ -25,8 +25,8 @@ import numpy as np
 from .chamfer import _chamfer, chamfer_distance  # noqa: F401 (perfbench/tracing.py wraps it)
 from .core import RandomSource, as_int, check_span, ordered_map, validate
 from .emd import _emd
-from .errors import (DivergenceDetected, EmptySet, InvalidParameter,
-                     SizeMismatch, UnknownFamily)
+from .errors import (DistanceOverflow, DivergenceDetected, EmptySet,
+                     InvalidParameter, SizeMismatch, UnknownFamily)
 from .losses import _check_metric
 
 FAMILY_DEFAULTS = {
@@ -241,6 +241,21 @@ def corner_regions(spec):
     ]
 
 
+def region_fractions(x, spec):
+    """(key, the share of x's points in each attachment region) for
+    reporting, or None: corner_square's four corner_regions boxes, or
+    bar_disk's disk grown to 1.5 times its radius."""
+    xy = x[:, :2]
+    if spec.family == "corner_square":
+        boxes = np.array(corner_regions(spec))[:, None]  # x0, y0, x1, y1
+        inside = ((xy >= boxes[..., :2]) & (xy <= boxes[..., 2:])).all(axis=2)
+        return "corner_fractions", inside.mean(axis=1).tolist()
+    if spec.family == "bar_disk":
+        d = np.linalg.norm(xy - spec.params["disk_center"], axis=1)
+        return "disk_fraction", [float(np.mean(d <= 1.5 * spec.params["disk_radius"]))]
+    return None
+
+
 def _hidden(spec, rng):
     """Draw the hidden variable that fixes one shape's outline."""
     p = spec.params
@@ -353,6 +368,7 @@ class SgdConfig:
         if not self.t_half > 0:
             raise ValueError("t_half must be > 0")
         _require(self.m is None or self.m >= 1, "m must be >= 1")
+        RandomSource(self.seed)  # checks the seed
 
 
 def _loss_and_grad(x, shape, metric):
@@ -369,9 +385,10 @@ def optimize_mean_shape(spec, cfg, threads=1):
 
     Each step draws a minibatch of shapes, averages the gradient of the
     metric with respect to x over the batch, and steps downhill. The trace
-    records the minibatch mean distance per step. Divergence past 1e6 times
-    the initial loss aborts. x moves in the plane z = 0, where every family
-    lies: the loop runs on (m, 2) coordinates, and x_final has z = 0.
+    records the minibatch mean distance per step. A step that takes the
+    loss past 1e6 times its initial value, or x past float64's span, raises
+    DivergenceDetected. x moves in the plane z = 0, where every family lies:
+    the loop runs on (m, 2) coordinates, and x_final has z = 0.
 
     A step draws each shape's hidden variable, the same single draw that
     draw_shape makes, and dedupes the batch on it: each distinct value is
@@ -399,8 +416,13 @@ def optimize_mean_shape(spec, cfg, threads=1):
             outlines = {h: _points(spec, h) for h in firsts}
         if not np.isfinite(x).all():  # the public metrics' validate and check_span
             validate(np.pad(x, ((0, 0), (0, 1))))  # names the first bad row
-        for h in firsts:
-            check_span(x, outlines[h])
+        try:
+            for h in firsts:
+                check_span(x, outlines[h])
+        except DistanceOverflow:
+            if t == 0:  # x starts in the unit square: the outline is too far out
+                raise
+            raise DivergenceDetected(t, math.inf, trace[0]) from None
         results = dict(zip(firsts, ordered_map(
             lambda h: _loss_and_grad(x, outlines[h], cfg.metric), firsts,
             threads)))

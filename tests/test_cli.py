@@ -191,6 +191,29 @@ def test_emd_default_route_is_the_library_rule(pair, monkeypatch, capsys):
     assert obj["backend"] == "auction" and obj["budget_relaxed"] is False
 
 
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_emd_json_prints_null_for_no_finite_bound(tmp_path, monkeypatch, capsys):
+    # near-coincident sets leave the auction a vacuous certificate; strict
+    # JSON has no Infinity, so achieved_eps is null and only stderr says inf
+    from psm import cli
+    from psm.io import write_xyz
+    rng = np.random.default_rng(46)
+    a = rng.random((50, 3))
+    paths = [str(tmp_path / "a.xyz"), str(tmp_path / "b.xyz")]
+    write_xyz(a, paths[0])
+    write_xyz(a + 1e-17 * rng.normal(size=a.shape), paths[1])
+    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
+    assert cli.main(["emd", *paths, "--json"]) == 0
+    out, err = capsys.readouterr()
+    obj = json.loads(out, parse_constant=refuse_constant)
+    assert obj["value"] > 0.0 and obj["backend"] == "auction"
+    assert obj["achieved_eps"] is None and obj["budget_relaxed"] is True
+    assert "achieved_eps=inf " in err
+
+
 def test_emd_normalize_divides_by_size(pair):
     a, b = pair
     obj = json.loads(run_cli("emd", a, b, "--normalize", "--json").stdout)
@@ -510,6 +533,22 @@ def test_meanshape_refuses_non_finite_lr(tmp_path):
     r = run_cli("meanshape", "--spec", spec, "--lr", "inf", "--steps", "2")
     assert r.returncode == 1
     assert r.stderr == "error: lr0 must be finite and > 0\n"
+
+
+def test_meanshape_seed_error_names_it(tmp_path):
+    spec = spec_file(tmp_path, family="circle_radius", n_points=8)
+    r = run_cli("meanshape", "--spec", spec, "--seed", "-1", "--steps", "2")
+    assert r.returncode == 1
+    assert r.stderr == "error: seed must be >= 0\n"
+
+
+def test_meanshape_blames_a_diverging_step(tmp_path):
+    # the first step throws x past float64's span: the step diverged, the
+    # spec's points are fine
+    spec = spec_file(tmp_path, family="circle_radius", n_points=8)
+    r = run_cli("meanshape", "--spec", spec, "--lr", "1e308", "--steps", "5")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: loss diverged at step 1: inf exceeds")
 
 
 @pytest.mark.parametrize("spec, key", [

@@ -16,6 +16,7 @@ from psm.errors import (DistanceOverflow, EmptySet, NonFiniteCoordinate,
                         SizeMismatch)
 from psm.losses import CandidateBundle, batch_loss, mon_loss
 from psm.meanshape import SgdConfig, ShapeDistributionSpec, optimize_mean_shape
+from psm.sampling import farthest_point_sample, random_subsample
 
 
 def bbox_loop(pts):
@@ -134,6 +135,23 @@ def test_random_source_split_streams():
     # children are distinct streams
     assert not np.array_equal(draws[0], draws[1])
     assert not np.array_equal(draws[1], draws[2])
+
+
+def test_every_seed_is_an_integer_at_least_zero():
+    # None would draw OS entropy and a bool would run as 0 or 1; both raise
+    # wherever a seed enters, and the same seed gives the same draws
+    pts = np.random.default_rng(0).random((50, 3))
+    calls = [RandomSource, lambda seed: farthest_point_sample(pts, 1, seed=seed),
+             lambda seed: random_subsample(pts, 3, seed=seed),
+             lambda seed: SgdConfig(seed=seed)]
+    for call in calls:
+        for seed in (None, True, 1.0, "1"):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                call(seed)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            call(-1)
+    assert np.array_equal(farthest_point_sample(pts, 4, seed=np.int64(3)),
+                          farthest_point_sample(pts, 4, seed=3))
 
 
 def test_resolve_threads(monkeypatch):

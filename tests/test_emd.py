@@ -205,8 +205,8 @@ def test_auction_identical_sets():
 
 def test_auction_flags_vacuous_certificate_on_near_coincident_sets(monkeypatch):
     # the optimal total is far below float64's resolution of the largest
-    # pairwise cost, so epsilon stops at 1e-15 of that cost, above the floor
-    # the target asks for, and the certificate is vacuous; the result says so
+    # pairwise cost, so epsilon stops at 1e-15 of that cost, above what the
+    # target asks for, and the certificate is vacuous; the result says so
     rng = np.random.default_rng(46)
     a = rng.random((50, 3))
     b = a + 1e-17 * rng.normal(size=a.shape)
@@ -220,7 +220,7 @@ def test_auction_flags_vacuous_certificate_on_near_coincident_sets(monkeypatch):
 
 
 def test_auction_meets_targets_above_one():
-    # a floor of t * cost / (2 s) would bound achieved_eps by t / (2 - t),
+    # stopping eps at t * cost / (2 s) would bound achieved_eps by t / (2 - t),
     # which misses t > 1 and is vacuous from t = 2; these targets are met
     rng = np.random.default_rng(47)
     for s in (2, 5, 12, 30):
@@ -233,20 +233,19 @@ def test_auction_meets_targets_above_one():
             assert res.value <= (1 + achieved) * exact * (1 + 1e-12)
 
 
-def test_auction_flags_rounding_past_target():
-    # at t = 1 the floor certifies exactly 1 in real arithmetic; here the
-    # certificate rounds one ulp above it, and the result says so
+def test_auction_certifies_a_target_of_one():
+    # a certificate one ulp past 1 is a missed target: eps falls again, so the
+    # call ends certified rather than flagged
     rng = np.random.default_rng(57)
     a, b = pair(rng, int(rng.integers(2, 30)))
     res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=1.0))
-    assert 1.0 < achieved < 1.0 + 1e-15
-    assert res.budget_relaxed is True
+    assert achieved <= 1.0 and res.budget_relaxed is False
 
 
-def test_auction_runs_the_floor_phase_once(monkeypatch):
-    # once eps is clamped to the floor, that phase is the last; a value that
-    # fell by a hair must not rerun it at a hair lower eps. Near a target of
-    # 1 a phase at the floor can miss the target, and then the floor moves.
+def test_auction_scales_eps_down_to_its_last_phase(monkeypatch):
+    # eps falls by at least EPS_SCALING per phase until the clamp near the
+    # target, which only the last phase may sit at; near a target of 1 a
+    # phase can still miss, and eps then falls once more
     mod = importlib.import_module("psm.emd")
     phase = mod._auction_phase
     seen = []
@@ -268,6 +267,34 @@ def test_auction_runs_the_floor_phase_once(monkeypatch):
         a, b = pair(rng, s)
         res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=0.9))
         assert achieved <= 0.9 and res.budget_relaxed is False
+
+
+def test_auction_stops_at_its_first_certified_phase(monkeypatch):
+    # one stopping test: every phase but the last misses the target, the last
+    # meets it, and each eps follows from the phase before it
+    mod = importlib.import_module("psm.emd")
+    phase = mod._auction_phase
+    seen = []  # (eps, tiny, value of the phase's matching) per complete phase
+
+    def logged(cost, prices, eps, spent, limit):
+        out = phase(cost, prices, eps, spent, limit)
+        value = float(np.sum(cost[np.arange(len(cost)), out[0]]))
+        seen.append((eps, 1e-15 * float(cost.max()), value))
+        return out
+
+    monkeypatch.setattr(mod, "_auction_phase", logged)
+    rng = np.random.default_rng(58)
+    for s in (2, 7, 30, 100):
+        a, b = pair(rng, s)
+        for t in (1e-4, 0.01, 0.2, 0.5, 0.9, 3.0):
+            seen.clear()
+            res, _, achieved = emd_auction(a, b, AuctionParams(target_rel_err=t))
+            certs = [s * eps / (value - s * eps) if value > s * eps else math.inf
+                     for eps, _, value in seen]
+            assert all(c > t for c in certs[:-1]) and certs[-1] == achieved <= t
+            assert res.budget_relaxed is False
+            for (prev, tiny, value), (eps, _, _) in zip(seen, seen[1:]):
+                assert eps == max(prev * EPS_SCALING, min(t, 0.5) * value / (2 * s), tiny)
 
 
 def test_auction_deterministic():

@@ -15,7 +15,7 @@ from psm.errors import (DistanceOverflow, DivergenceDetected, EmptySet,
                         UnknownFamily)
 from psm.meanshape import (FAMILY_DEFAULTS, SgdConfig, ShapeDistributionSpec,
                            corner_regions, draw_shape, emit_plot,
-                           optimize_mean_shape, spec_from_dict)
+                           optimize_mean_shape, region_fractions, spec_from_dict)
 
 
 def ema(xs, window=50):
@@ -212,8 +212,9 @@ def test_bench_sized_trajectory_bytes_pinned(family, metric, steps):
 
 
 def test_emd_above_exact_limit_takes_the_auction(monkeypatch):
-    # emd() routes s > EXACT_LIMIT to the auction, and so does the optimizer;
-    # the digest was taken when the optimizer still called emd() on 3-D points
+    # emd() routes s > EXACT_LIMIT to the auction, and so does the optimizer.
+    # The digest is of the auction that stops at its first certified phase:
+    # 31 of these 40 calls stop one phase before the earlier rule did
     emd_module = importlib.import_module("psm.emd")
     monkeypatch.setattr(emd_module, "EXACT_LIMIT", 8)
     calls = []
@@ -224,7 +225,7 @@ def test_emd_above_exact_limit_takes_the_auction(monkeypatch):
     x, trace = optimize_mean_shape(
         spec, SgdConfig(metric="emd", steps=10, batch=4, seed=41))
     digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
-    assert digest == "8c60891677af13949eb9fb75d0caa8d77a879cd4c7b72e27f1f9a74168e72671"
+    assert digest == "47933b315ccb5649133d04490b989d10542af09da633b87f803bcaea1ca493f8"
     assert len(calls) == 40
 
 
@@ -253,6 +254,26 @@ def test_corner_regions_geometry():
     x0, y0, _, _ = corner_regions(spec)[0]
     assert x0 == pytest.approx(p["center"][0] + p["bar_width"] / 2)
     assert y0 == pytest.approx(p["center"][1] + p["bar_height"] / 2)
+
+
+def test_region_fractions_count_edges_inside():
+    spec = ShapeDistributionSpec("corner_square")
+    boxes = np.array(corner_regions(spec))
+    # each box's two corners, one box after another, plus one point on the bar
+    x = np.pad(np.concatenate([boxes[:, :2], boxes[:, 2:], [spec.params["center"]]]),
+               ((0, 0), (0, 1)))
+    assert region_fractions(x, spec) == ("corner_fractions", [2 / 9] * 4)
+    x = np.pad(RandomSource(5).uniform(0.0, 1.0, (301, 2)), ((0, 0), (0, 1)))
+    loop = [np.count_nonzero((x[:, 0] >= x0) & (x[:, 0] <= x1)
+                             & (x[:, 1] >= y0) & (x[:, 1] <= y1)) / len(x)
+            for x0, y0, x1, y1 in boxes]
+    assert region_fractions(x, spec)[1] == loop and min(loop) > 0
+    spec = ShapeDistributionSpec("bar_disk")
+    c, r = np.array(spec.params["disk_center"]), spec.params["disk_radius"]
+    x = np.pad([c, c + [1.5 * r, 0.0], c + [1.6 * r, 0.0], [0.5, 0.5]], ((0, 0), (0, 1)))
+    assert region_fractions(x, spec) == ("disk_fraction", [0.5])
+    spec = ShapeDistributionSpec("circle_radius")
+    assert region_fractions(x, spec) is None
 
 
 def test_bar_disk_presence():
