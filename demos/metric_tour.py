@@ -41,8 +41,8 @@ print("auction: %.6f  (rel err %.2e, certified eps %.2e)"
 print("matched pair 0: a[0] -> b[%d], cost %.4f"
       % (assign.perm[0], assign.per_pair_cost[0]))
 
-# the dispatcher picks exact up to 4096 points per side, auction above
-print("dispatcher on 300 points uses:", emd(a, b).backend)
+# emd() takes the exact solver at every size
+print("emd() on 300 points uses:", emd(a, b).backend)
 
 print()
 print("== farthest point sampling ==")

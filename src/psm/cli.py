@@ -10,7 +10,6 @@ flags and input files.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -18,8 +17,7 @@ import numpy as np
 
 from . import io as psio
 from .chamfer import chamfer_distance
-from .emd import (EXACT_LIMIT, AuctionParams, default_backend, emd_auction,
-                  emd_exact)
+from .emd import emd_auction, emd_exact  # noqa: F401 (perfbench/tracing.py wraps it)
 from .losses import METRICS, CandidateBundle, mon_loss
 from .meanshape import (SgdConfig, emit_plot, optimize_mean_shape,
                         region_fractions)
@@ -81,14 +79,10 @@ def _cmd_chamfer(args):
 
 
 def _cmd_emd(args):
-    params = AuctionParams(args.eps, args.budget_entries)  # checked before any file is read
     a = psio.read_xyz(args.a)
     b = psio.read_xyz(args.b)
     want_grad = args.grad is not None
-    if default_backend(len(a)) == "exact":
-        res, assignment = emd_exact(a, b, want_grad)
-    else:
-        res, assignment, _ = emd_auction(a, b, params, want_grad)
+    res, assignment = emd_exact(a, b, want_grad)
     s = len(a)
     scale = _scale_from(args)
     div = scale * (s if args.normalize else 1)
@@ -99,19 +93,9 @@ def _cmd_emd(args):
         with open(args.dump_matching, "w", encoding="utf-8", newline="\n") as fh:
             psio._write_rows(fh, np.column_stack([np.arange(s), assignment.perm,
                                                   assignment.per_pair_cost]), 3)
-    obj = {"command": "emd", "value": value, "backend": res.backend,
-           "normalize": args.normalize, "scale": scale}
-    if res.backend == "auction":
-        eps = res.achieved_eps
-        obj["achieved_eps"] = eps if eps < math.inf else None  # JSON has no inf
-        obj["budget_relaxed"] = res.budget_relaxed
-        obj["params"] = {"target_rel_err": params.target_rel_err,
-                         "budget_entries": params.budget_entries}
-        print(f"auction: achieved_eps={res.achieved_eps:.6g} "
-              f"target_rel_err={params.target_rel_err:g} "
-              f"budget_entries={params.budget_entries} "
-              f"budget_relaxed={res.budget_relaxed}", file=sys.stderr)
-    _emit(args, obj, [fmt12(value)])
+    _emit(args, {"command": "emd", "value": value, "backend": res.backend,
+                 "normalize": args.normalize, "scale": scale},
+          [fmt12(value)])
     return 0
 
 
@@ -244,11 +228,6 @@ def build_parser():
                        help="assignment distance between two equal-size .xyz files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--eps", type=float, default=0.01,
-                   help="auction target relative error (default 0.01; "
-                        f"the auction runs above s = {EXACT_LIMIT})")
-    p.add_argument("--budget-entries", type=int, default=AuctionParams.budget_entries,
-                   help="cost entries the auction's bids may read (default %(default)s)")
     p.add_argument("--grad", metavar="OUT.xyz",
                    help="write the gradient with respect to A")
     p.add_argument("--dump-matching", metavar="OUT.txt",

@@ -120,9 +120,9 @@ class DistanceResult:
     grad_a, when present, has one row per point of the first argument
     (d value / d a_i); grad_b likewise for the second. backend names the
     kernel that produced the value. achieved_eps and budget_relaxed are
-    populated only by the approximate assignment route: the relative
-    optimality bound it certifies, and whether that bound exceeds the
-    requested target_rel_err (the work budget ran out, or float64 could not
+    populated only by the auction, which runs when called by name
+    (emd_auction): the relative optimality bound it certifies, and whether
+    that bound exceeds the requested target_rel_err (float64 could not
     resolve the target).
     """
 

@@ -5,12 +5,16 @@ d(a, b) = min over bijections phi of sum_i ||a_i - b_phi(i)||
 Costs are plain Euclidean norms, not squared; this differs from the Chamfer
 module on purpose. Two backends:
 
-  emd_exact    globally optimal assignment, O(s^3), guarded to s <= EXACT_LIMIT
+  emd_exact    globally optimal assignment (cdist plus scipy's LSA), O(s^3)
   emd_auction  epsilon-scaling auction, certifies cost <= (1 + eps) * optimal
 
-emd() and `psm emd` take the exact solver wherever it is allowed and the
-auction above that (default_backend). Each entry checks its pair once and
-runs _emd, which takes checked arrays of any row width.
+emd(), `psm emd`, the "emd" losses and the mean-shape optimizer take the
+exact solver at every size; the auction runs only when called by name. At
+4097-8192 points LSA holds 2.1-2.8x less memory than the auction; it is up
+to 1.6x slower than an auction run to its 0.01 target on uniform clouds,
+and about 4x faster on 1/8-lattice clouds (2-vCPU x86 guest, scipy 1.17).
+Each entry checks its pair once and runs _emd, which takes checked arrays
+of any row width.
 
 The gradient at a_i is the unit vector from its matched partner toward a_i,
 (a_i - b_phi(i)) / ||a_i - b_phi(i)||, and the opposite for the partner.
@@ -24,15 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .core import DistanceResult, as_int, check_pair
-from .errors import InstanceTooLarge
-
-# Memory does not set this limit (the auction holds the same s x s cdist
-# matrix, and a gathered copy in its first round); time does. scipy's LSA
-# (Crouse 2016) beats the default auction on uniform clouds up to here: 94 vs
-# 281 ms CPU at s=1024, 798 vs 1037 ms at s=2048; at s=4096 LSA takes 2.8 s,
-# the auction 1.2 s to stop 17 % above the optimum (2-vCPU x86, scipy 1.17).
-EXACT_LIMIT = 4096
+from .core import DistanceResult, check_pair
 
 # The auction's epsilon shrinks by this factor per phase.
 EPS_SCALING = 0.25
@@ -48,32 +44,19 @@ class Assignment:
 
 @dataclass(frozen=True)
 class AuctionParams:
-    """The auction's two knobs: the relative error to certify, and the work
-    allowed for it, in cost entries read by bids (unassigned bidders times s).
-    Checked when made (a finite target > 0, an integer budget >= 1); frozen.
+    """The auction's one knob: the relative error to certify. Checked when
+    made (finite and > 0); frozen.
 
     Epsilon starts at max_cost / 2 and shrinks by EPS_SCALING per phase, but
     not below min(t, 1/2) * cost / (2 s), t = target_rel_err, until a phase
-    certifies t (achieved_eps <= t). A phase after the first that would read
-    past budget_entries is dropped, and the last complete one is returned.
+    certifies t (achieved_eps <= t) or eps reaches 1e-15 of max_cost.
     """
 
     target_rel_err: float = 0.01
-    # Uniform pairs read 2.9-3.4e7 at s=1024 and 1.37-1.46e8 at s=2048 (seeds
-    # 0-3) to certify 0.01; at s=4096 (seed 0) this drops the fourth phase
-    # after 1.1-1.2 s CPU (4-8 ns an entry, 2-vCPU x86 guest, numpy 2.4).
-    budget_entries: int = 250_000_000
 
     def __post_init__(self):
         if not 0 < self.target_rel_err < math.inf:
             raise ValueError("target_rel_err must be finite and > 0")
-        if as_int(self.budget_entries, "budget_entries") < 1:
-            raise ValueError("budget_entries must be >= 1")
-
-
-def default_backend(s):
-    """The solver emd() and `psm emd` use for s points per side."""
-    return "exact" if s <= EXACT_LIMIT else "auction"
 
 
 def _grads_from_perm(a, b, perm):
@@ -100,9 +83,8 @@ def emd_exact(a, b, want_grad=False):
     return _emd(*check_pair(a, b, same_size=True), want_grad, "exact")
 
 
-def _auction_phase(cost, prices, eps, spent, limit):
-    """One Jacobi bidding phase from an empty assignment: (each bidder's item,
-    spent plus the cost entries its bids read), or None if that passes limit.
+def _auction_phase(cost, prices, eps):
+    """One Jacobi bidding phase from an empty assignment: each bidder's item.
 
     All currently unassigned bidders bid simultaneously; each item goes to
     the highest bid (ties to the lowest bidder index), displacing any
@@ -115,10 +97,7 @@ def _auction_phase(cost, prices, eps, spent, limit):
     while True:
         unassigned = np.flatnonzero(assigned_item < 0)
         if unassigned.size == 0:
-            return assigned_item, spent
-        spent += unassigned.size * s
-        if spent > limit:
-            return None
+            return assigned_item
         # benefit - price, negating the gathered rows in place: bit for bit
         # (-cost) - prices, without holding a negated copy of the matrix
         v = cost[unassigned]
@@ -157,15 +136,9 @@ def _auction(a, b, params):
     prices = np.zeros(s)
     eps = cmax / 2.0
     tiny = 1e-15 * cmax
-    # the first phase, at eps = cmax / 2, always runs to its end, so there is
-    # an assignment to return; a later one that reads past the budget is dropped
-    spent, limit = 0, math.inf
     t = params.target_rel_err
     while True:
-        phase = _auction_phase(cost, prices, eps, spent, limit)
-        if phase is None:
-            break
-        perm, spent = phase
+        perm = _auction_phase(cost, prices, eps)
         per_pair = cost[np.arange(s), perm]
         value = float(np.sum(per_pair))
         slack = s * eps
@@ -174,22 +147,18 @@ def _auction(a, b, params):
             break
         # a missed target puts eps above t * value / ((1 + t) s) > this clamp
         eps = max(eps * EPS_SCALING, min(t, 0.5) * value / (2.0 * s), tiny)
-        limit = params.budget_entries
 
     if value <= 0.0:  # a zero-cost matching is optimal whatever eps found it
         return perm, per_pair, 0.0, False
     return perm, per_pair, achieved, achieved > t
 
 
-def _emd(a, b, want_grad, backend=None, params=None):
-    """EMD of a checked pair on any row width, by the named backend or, by
-    default, default_backend's: (DistanceResult, Assignment). The auction
-    takes params, checked when made, or AuctionParams() if None."""
-    backend = default_backend(len(a)) if backend is None else backend
+def _emd(a, b, want_grad, backend="exact", params=None):
+    """EMD of a checked pair on any row width, by the named backend:
+    (DistanceResult, Assignment). The auction takes params, checked when
+    made, or AuctionParams() if None."""
     bound = ()  # the auction's (achieved_eps, budget_relaxed)
     if backend == "exact":
-        if len(a) > EXACT_LIMIT:
-            raise InstanceTooLarge(len(a), EXACT_LIMIT)
         perm, per_pair = _assign(a, b)
     else:
         perm, per_pair, *bound = _auction(a, b, params or AuctionParams())
@@ -204,9 +173,11 @@ def emd_auction(a, b, params=None, want_grad=False):
     achieved_eps is the certified relative bound: the returned cost is
     at most (1 + achieved_eps) times the optimum. It follows from
     epsilon-complementary slackness, which caps the absolute gap at s * eps
-    of the returned phase, over the returned cost. budget_relaxed is exactly
-    achieved_eps > params.target_rel_err: params.budget_entries ran out, or
-    on near-coincident sets float64 cannot resolve the target (inf).
+    of the returned phase, over the returned cost. The auction runs until
+    it certifies params.target_rel_err. budget_relaxed is exactly
+    achieved_eps > target_rel_err: eps reached 1e-15 of the largest cost
+    first, as on near-coincident sets, where float64 cannot resolve the
+    target (achieved_eps is then inf).
     """
     res, assignment = _emd(*check_pair(a, b, same_size=True), want_grad,
                            "auction", params)
@@ -214,5 +185,5 @@ def emd_auction(a, b, params=None, want_grad=False):
 
 
 def emd(a, b, want_grad=False):
-    """Dispatch: exact solver up to s = EXACT_LIMIT, auction beyond."""
+    """Optimal assignment EMD at every size: emd_exact's DistanceResult."""
     return _emd(*check_pair(a, b, same_size=True), want_grad)[0]

@@ -30,11 +30,6 @@ class SizeMismatch(ValueError):
         super().__init__(f"size mismatch (|a|={na}, |b|={nb})")
 
 
-class InstanceTooLarge(ValueError):
-    def __init__(self, size, limit):
-        super().__init__(f"instance size {size} exceeds exact-solver limit {limit}")
-
-
 class KOutOfRange(ValueError):
     def __init__(self, k, n, name="k"):
         super().__init__(f"{name}={k} out of range for set of size {n}")

@@ -386,9 +386,9 @@ def optimize_mean_shape(spec, cfg, threads=1):
     Each step draws a minibatch of shapes, averages the gradient of the
     metric with respect to x over the batch, and steps downhill. The trace
     records the minibatch mean distance per step. A step that takes the
-    loss past 1e6 times its initial value, or x past float64's span, raises
-    DivergenceDetected. x moves in the plane z = 0, where every family lies:
-    the loop runs on (m, 2) coordinates, and x_final has z = 0.
+    loss past 1e6 times its initial value, or x past float64's span or to
+    inf, raises DivergenceDetected. x moves in the plane z = 0, where every
+    family lies: the loop runs on (m, 2) coordinates, and x_final has z = 0.
 
     A step draws each shape's hidden variable, the same single draw that
     draw_shape makes, and dedupes the batch on it: each distinct value is
@@ -415,6 +415,8 @@ def optimize_mean_shape(spec, cfg, threads=1):
         if not discrete:
             outlines = {h: _points(spec, h) for h in firsts}
         if not np.isfinite(x).all():  # the public metrics' validate and check_span
+            if np.isfinite(grad).all():  # a finite gradient: the step overflowed x
+                raise DivergenceDetected(t, math.inf, trace[0])
             validate(np.pad(x, ((0, 0), (0, 1))))  # names the first bad row
         try:
             for h in firsts:
@@ -431,7 +433,8 @@ def optimize_mean_shape(spec, cfg, threads=1):
         trace[t] = loss
         if t > 0 and loss > 1e6 * max(trace[0], 1e-30):
             raise DivergenceDetected(t, loss, trace[0])
-        x = x - (lr / cfg.batch) * grad
+        with np.errstate(over="ignore"):  # an overflow to inf is caught above
+            x = x - (lr / cfg.batch) * grad
     return np.pad(x, ((0, 0), (0, 1))), trace
 
 

@@ -1,5 +1,5 @@
 """Assignment distance: exact solver vs factorial enumeration, auction
-soundness, gradients, and the size dispatcher.
+soundness, gradients, and emd()'s one route.
 
 emd_enum below is the oracle: it walks every bijection of the two sets and
 keeps the best, so anything it certifies is ground truth for s <= 8.
@@ -14,10 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from psm.emd import (EPS_SCALING, EXACT_LIMIT, AuctionParams, default_backend,
-                     emd, emd_auction, emd_exact)
-from psm.errors import (DistanceOverflow, EmptySet, InstanceTooLarge,
-                        SizeMismatch)
+from psm.emd import EPS_SCALING, AuctionParams, emd, emd_auction, emd_exact
+from psm.errors import DistanceOverflow, EmptySet, SizeMismatch
 
 
 def emd_enum(a, b):
@@ -84,24 +82,11 @@ def test_permuted_copy_costs_zero():
 
 def test_exact_guard_and_size_checks():
     rng = np.random.default_rng(32)
-    big = rng.random((EXACT_LIMIT + 1, 3))
-    with pytest.raises(InstanceTooLarge):
-        emd_exact(big, big)
     with pytest.raises(SizeMismatch) as exc:
         emd_exact(rng.random((3, 3)), rng.random((5, 3)))
     assert "size mismatch (|a|=3, |b|=5)" in str(exc.value)
     with pytest.raises(EmptySet):
         emd_exact(np.empty((0, 3)), np.empty((0, 3)))
-
-
-def test_every_route_reads_the_limit_at_call_time(monkeypatch):
-    # the exact solver refuses past the module's limit whoever calls it,
-    # and emd() moves to the auction there
-    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
-    a, b = pair(np.random.default_rng(33), 2)
-    with pytest.raises(InstanceTooLarge):
-        emd_exact(a, b)
-    assert emd(a, b).backend == "auction"
 
 
 def test_symmetry_and_permutation_invariance():
@@ -203,7 +188,7 @@ def test_auction_identical_sets():
         assert achieved == 0.0 and res.budget_relaxed is False
 
 
-def test_auction_flags_vacuous_certificate_on_near_coincident_sets(monkeypatch):
+def test_auction_flags_vacuous_certificate_on_near_coincident_sets():
     # the optimal total is far below float64's resolution of the largest
     # pairwise cost, so epsilon stops at 1e-15 of that cost, above what the
     # target asks for, and the certificate is vacuous; the result says so
@@ -213,10 +198,6 @@ def test_auction_flags_vacuous_certificate_on_near_coincident_sets(monkeypatch):
     res, _, achieved = emd_auction(a, b)
     assert 0.0 < res.value == emd_exact(a, b)[0].value
     assert achieved == math.inf and res.budget_relaxed is True
-    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
-    res = emd(a, b)
-    assert res.backend == "auction"
-    assert res.achieved_eps == math.inf and res.budget_relaxed is True
 
 
 def test_auction_meets_targets_above_one():
@@ -250,9 +231,9 @@ def test_auction_scales_eps_down_to_its_last_phase(monkeypatch):
     phase = mod._auction_phase
     seen = []
 
-    def logged(cost, prices, eps, spent, limit):
+    def logged(cost, prices, eps):
         seen.append(eps)
-        return phase(cost, prices, eps, spent, limit)
+        return phase(cost, prices, eps)
 
     monkeypatch.setattr(mod, "_auction_phase", logged)
     rng = np.random.default_rng(0)
@@ -276,9 +257,9 @@ def test_auction_stops_at_its_first_certified_phase(monkeypatch):
     phase = mod._auction_phase
     seen = []  # (eps, tiny, value of the phase's matching) per complete phase
 
-    def logged(cost, prices, eps, spent, limit):
-        out = phase(cost, prices, eps, spent, limit)
-        value = float(np.sum(cost[np.arange(len(cost)), out[0]]))
+    def logged(cost, prices, eps):
+        out = phase(cost, prices, eps)
+        value = float(np.sum(cost[np.arange(len(cost)), out]))
         seen.append((eps, 1e-15 * float(cost.max()), value))
         return out
 
@@ -306,51 +287,23 @@ def test_auction_deterministic():
     assert np.array_equal(as1.perm, as2.perm)
 
 
-def test_auction_stops_on_its_count_not_the_clock(monkeypatch):
-    # a call that the count stops in its fourth phase, and the default route
-    # above a lowered EXACT_LIMIT, return the same bits while every clock read
-    # jumps 1000 s
-    monkeypatch.setattr(importlib.import_module("psm.emd"), "EXACT_LIMIT", 1)
+def test_auction_does_not_read_the_clock(monkeypatch):
+    # a call that takes several phases returns the same bits while every
+    # clock read jumps 1000 s
     rng = np.random.default_rng(48)
     a, b = pair(rng, 64)
 
     def run():
-        res, assignment, achieved = emd_auction(a, b, AuctionParams(0.01, 50_000))
-        routed = emd(a, b, want_grad=True)
+        res, assignment, achieved = emd_auction(a, b, want_grad=True)
         return (assignment.perm.tobytes(), res.value.hex(), achieved,
-                res.budget_relaxed, routed.value.hex(), routed.grad_a.tobytes(),
-                routed.achieved_eps, routed.budget_relaxed)
+                res.budget_relaxed, res.grad_a.tobytes())
 
     calm = run()
     reads = itertools.count()
     for clock in ("perf_counter", "monotonic"):
         monkeypatch.setattr(time, clock, lambda: 1000.0 * next(reads))
     assert run() == calm
-    assert calm[3] is True and calm[7] is False  # the count ran out, the default did not
-
-
-def test_auction_budget_is_a_count():
-    for count in (1.5, 1e9, True, "100"):
-        with pytest.raises(TypeError):
-            AuctionParams(budget_entries=count)
-    AuctionParams(budget_entries=np.int64(1))
-
-
-def test_auction_budget_relaxation_still_sound():
-    # a vanishing budget stops the schedule after its first phase; the result
-    # must remain a complete bijection with an honest (wider) certificate
-    rng = np.random.default_rng(42)
-    a, b = pair(rng, 32)
-    exact = emd_exact(a, b)[0].value
-    res, assignment, achieved = emd_auction(
-        a, b, AuctionParams(budget_entries=1))
-    assert sorted(assignment.perm.tolist()) == list(range(32))
-    assert res.value <= (1.0 + achieved) * exact + 1e-9
-    # the target was missed, and the result says why
-    assert achieved > 0.01 and res.budget_relaxed is True
-    default, _, default_eps = emd_auction(a, b)
-    assert achieved >= default_eps  # budget pressure loosens the bound
-    assert default_eps <= 0.01 and default.budget_relaxed is False
+    assert calm[2] <= 0.01 and calm[3] is False
 
 
 def test_auction_tight_target_reaches_exact():
@@ -363,8 +316,7 @@ def test_auction_tight_target_reaches_exact():
 
 def test_auction_params_validation():
     AuctionParams()
-    bad = [dict(target_rel_err=0.0), dict(target_rel_err=math.inf),
-           dict(budget_entries=0)]
+    bad = [dict(target_rel_err=0.0), dict(target_rel_err=math.inf)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             AuctionParams(**kwargs)
@@ -374,7 +326,7 @@ def test_auction_params_are_frozen():
     # checked when made, and no assignment can undo that check
     params = AuctionParams()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        params.budget_entries = 0
+        params.target_rel_err = 0.0
 
 
 def test_auction_gradients_follow_returned_matching():
@@ -386,26 +338,23 @@ def test_auction_gradients_follow_returned_matching():
     assert np.allclose(res.grad_a, want, atol=1e-15)
 
 
-# -------------------------------------------------------------- dispatcher
+# ------------------------------------------------------------------ emd()
 
-def test_dispatcher_thresholds():
-    assert EXACT_LIMIT == 4096  # where LSA starts to lose to the auction on time
+def test_emd_is_exact_at_every_size():
+    # a permuted copy and all-zero sets keep LSA cheap at the larger sizes
     rng = np.random.default_rng(45)
     a, b = pair(rng, 10)
-    assert emd(a, b).backend == "exact"
-    a, b = pair(rng, 1024)
     res = emd(a, b)
     assert res.backend == "exact" and res.achieved_eps is None
-    # at the limit a permuted copy keeps LSA cheap; above it a single
-    # repeated point takes the auction's zero-cost exit
-    a = rng.random((EXACT_LIMIT, 3))
-    res = emd(a, a[::-1].copy())
-    assert default_backend(EXACT_LIMIT) == res.backend == "exact"
-    assert res.value == 0.0 and res.achieved_eps is None
-    a = np.zeros((EXACT_LIMIT + 1, 3))
+    assert res.value == emd_exact(a, b)[0].value
+    a = rng.random((1024, 3))
+    res = emd(a, a[rng.permutation(1024)])
+    assert res.backend == "exact" and res.achieved_eps is None
+    assert res.value == 0.0
+    a = np.zeros((4097, 3))
     res = emd(a, a.copy())
-    assert default_backend(EXACT_LIMIT + 1) == res.backend == "auction"
-    assert res.achieved_eps == 0.0 and res.budget_relaxed is False
+    assert res.backend == "exact" and res.achieved_eps is None
+    assert res.value == 0.0 and res.budget_relaxed is None
 
 
 def test_overflowing_coordinates_raise_typed_error():
@@ -421,7 +370,7 @@ def test_overflowing_coordinates_raise_typed_error():
 def test_dispatcher_backends_agree_within_bound():
     rng = np.random.default_rng(46)
     a, b = pair(rng, 200)
-    exact = emd(a, b).value  # s=200 routes to the exact solver
+    exact = emd(a, b).value  # emd() takes the exact solver
     res, _, achieved = emd_auction(a, b)
     assert exact <= res.value <= (1.0 + achieved) * exact + 1e-9
 

@@ -211,24 +211,6 @@ def test_bench_sized_trajectory_bytes_pinned(family, metric, steps):
     assert digest == BENCH_TRAJECTORY_DIGESTS[family, metric, steps]
 
 
-def test_emd_above_exact_limit_takes_the_auction(monkeypatch):
-    # emd() routes s > EXACT_LIMIT to the auction, and so does the optimizer.
-    # The digest is of the auction that stops at its first certified phase:
-    # 31 of these 40 calls stop one phase before the earlier rule did
-    emd_module = importlib.import_module("psm.emd")
-    monkeypatch.setattr(emd_module, "EXACT_LIMIT", 8)
-    calls = []
-    auction = emd_module._auction
-    monkeypatch.setattr(emd_module, "_auction",
-                        lambda *args, **kw: calls.append(1) or auction(*args, **kw))
-    spec = ShapeDistributionSpec("circle_radius", n_points=16)
-    x, trace = optimize_mean_shape(
-        spec, SgdConfig(metric="emd", steps=10, batch=4, seed=41))
-    digest = hashlib.sha256(x.tobytes() + trace.tobytes()).hexdigest()
-    assert digest == "47933b315ccb5649133d04490b989d10542af09da633b87f803bcaea1ca493f8"
-    assert len(calls) == 40
-
-
 def test_corner_choice_frequency():
     spec = ShapeDistributionSpec("corner_square", n_points=64)
     boxes = corner_regions(spec)
