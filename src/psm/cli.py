@@ -210,32 +210,27 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON object")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("a")
+    pair.add_argument("b")
+    pair.add_argument("--grad", metavar="OUT.xyz",
+                      help="write the gradient with respect to A")
+    pair.add_argument("--grid-unit", metavar="DIMS,CELL",
+                      help="divide the value by the grid reporting unit D*h/10")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chamfer", parents=[common],
+    p = sub.add_parser("chamfer", parents=[common, pair],
                        help="Chamfer distance between two .xyz files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--grad", metavar="OUT.xyz",
-                   help="write the gradient with respect to A")
     p.add_argument("--normalize", action="store_true",
                    help="divide each directed sum by its set size (extension)")
-    p.add_argument("--grid-unit", metavar="DIMS,CELL",
-                   help="divide the value by the grid reporting unit D*h/10")
     p.set_defaults(func=_cmd_chamfer)
 
-    p = sub.add_parser("emd", parents=[common],
+    p = sub.add_parser("emd", parents=[common, pair],
                        help="assignment distance between two equal-size .xyz files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--grad", metavar="OUT.xyz",
-                   help="write the gradient with respect to A")
     p.add_argument("--dump-matching", metavar="OUT.txt",
                    help="write `i j cost` per matched pair")
     p.add_argument("--normalize", action="store_true",
                    help="divide the value by the set size (extension)")
-    p.add_argument("--grid-unit", metavar="DIMS,CELL",
-                   help="divide the value by the grid reporting unit D*h/10")
     p.set_defaults(func=_cmd_emd)
 
     p = sub.add_parser("fps", parents=[common],

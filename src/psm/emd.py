@@ -142,14 +142,12 @@ def _auction(a, b, params):
         per_pair = cost[np.arange(s), perm]
         value = float(np.sum(per_pair))
         slack = s * eps
-        achieved = slack / (value - slack) if value > slack else math.inf
+        # a zero-cost matching is optimal whatever eps found it
+        achieved = slack / (value - slack) if value > slack else 0.0 if value <= 0.0 else math.inf
         if achieved <= t or eps <= tiny:
             break
         # a missed target puts eps above t * value / ((1 + t) s) > this clamp
         eps = max(eps * EPS_SCALING, min(t, 0.5) * value / (2.0 * s), tiny)
-
-    if value <= 0.0:  # a zero-cost matching is optimal whatever eps found it
-        return perm, per_pair, 0.0, False
     return perm, per_pair, achieved, achieved > t
 
 

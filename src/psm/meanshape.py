@@ -258,22 +258,18 @@ def region_fractions(x, spec):
 
 def _hidden(spec, rng):
     """Draw the hidden variable that fixes one shape's outline."""
-    p = spec.params
-    if spec.family == "circle_radius":
-        return rng.uniform(p["r_min"], p["r_max"])  # radius
-    if spec.family == "spiky_arc":
-        return rng.uniform(0.0, p["travel"])  # diagonal offset
     if spec.family == "corner_square":
         return int(rng.integers(4))  # index into corner_regions
     if spec.family == "bar_disk":
-        return rng.random() < p["p_disk"]  # disk present
-    raise UnknownFamily(spec.family, FAMILY_DEFAULTS)
+        return rng.random() < spec.params["p_disk"]  # disk present
+    return rng.uniform(*_extremes(spec))  # a radius, or spiky_arc's diagonal offset
 
 
 def _extremes(spec):
     """Hidden values whose outlines bound those of every other draw.
 
-    For corner_square and bar_disk this is the whole support.
+    For circle_radius and spiky_arc these are the ends of the draw range;
+    for corner_square and bar_disk this is the whole support.
     """
     p = spec.params
     if spec.family == "circle_radius":
@@ -387,7 +383,8 @@ def optimize_mean_shape(spec, cfg, threads=1):
     metric with respect to x over the batch, and steps downhill. The trace
     records the minibatch mean distance per step. A step that takes the
     loss past 1e6 times its initial value, or x past float64's span or to
-    inf, raises DivergenceDetected. x moves in the plane z = 0, where every
+    inf, raises DivergenceDetected; x is checked right after each step, so
+    the returned x is finite. x moves in the plane z = 0, where every
     family lies: the loop runs on (m, 2) coordinates, and x_final has z = 0.
 
     A step draws each shape's hidden variable, the same single draw that
@@ -414,10 +411,6 @@ def optimize_mean_shape(spec, cfg, threads=1):
         firsts = list(dict.fromkeys(hidden))  # distinct values, first seen first
         if not discrete:
             outlines = {h: _points(spec, h) for h in firsts}
-        if not np.isfinite(x).all():  # the public metrics' validate and check_span
-            if np.isfinite(grad).all():  # a finite gradient: the step overflowed x
-                raise DivergenceDetected(t, math.inf, trace[0])
-            validate(np.pad(x, ((0, 0), (0, 1))))  # names the first bad row
         try:
             for h in firsts:
                 check_span(x, outlines[h])
@@ -433,8 +426,12 @@ def optimize_mean_shape(spec, cfg, threads=1):
         trace[t] = loss
         if t > 0 and loss > 1e6 * max(trace[0], 1e-30):
             raise DivergenceDetected(t, loss, trace[0])
-        with np.errstate(over="ignore"):  # an overflow to inf is caught above
+        with np.errstate(over="ignore"):  # an overflow to inf is caught below
             x = x - (lr / cfg.batch) * grad
+        if not np.isfinite(x).all():  # the public metrics' validate and check_span
+            if np.isfinite(grad).all():  # a finite gradient: the step overflowed x
+                raise DivergenceDetected(t + 1, math.inf, trace[0])
+            validate(np.pad(x, ((0, 0), (0, 1))))  # names the first bad row
     return np.pad(x, ((0, 0), (0, 1))), trace
 
 

@@ -234,9 +234,10 @@ def test_voxelize_origin_error_names_the_flag(tmp_path):
     assert r.stderr == "error: --origin takes three comma-separated numbers, got 'a,0,0'\n"
 
 
+@pytest.mark.parametrize("command", ["chamfer", "emd"])
 @pytest.mark.parametrize("unit", ["32,x", "4.5,1"])
-def test_grid_unit_error_names_the_flag(pair, unit):
-    r = run_cli("chamfer", *pair, "--grid-unit", unit)
+def test_grid_unit_error_names_the_flag(pair, command, unit):
+    r = run_cli(command, *pair, "--grid-unit", unit)
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == (f"error: --grid-unit takes DIMS,CELL: an integer and a number, "
@@ -469,12 +470,14 @@ def test_meanshape_blames_a_diverging_step(tmp_path):
     assert r.stderr.startswith("error: loss diverged at step 1: inf exceeds")
 
 
-def test_meanshape_blames_a_step_that_overflows_x(tmp_path):
+@pytest.mark.parametrize("steps", ["1", "5"])
+def test_meanshape_blames_a_step_that_overflows_x(tmp_path, steps):
     # two points far inside the span: the first step overflows x to inf with
-    # a finite gradient, so the step diverged, without a warning on the way
+    # a finite gradient, so the step diverged, without a warning on the way,
+    # also when that step is the last
     spec = spec_file(tmp_path, family="circle_radius", n_points=64)
     r = run_cli("meanshape", "--spec", spec, "--lr", "1e308", "--batch", "1",
-                "--m", "2", "--steps", "5")
+                "--m", "2", "--steps", steps)
     assert r.returncode == 1
     assert r.stderr.startswith("error: loss diverged at step 1: inf exceeds")
     assert r.stderr.count("\n") == 1 and r.stdout == ""

@@ -278,6 +278,27 @@ def test_auction_stops_at_its_first_certified_phase(monkeypatch):
                 assert eps == max(prev * EPS_SCALING, min(t, 0.5) * value / (2 * s), tiny)
 
 
+def test_auction_stops_at_a_zero_cost_phase(monkeypatch):
+    # a phase whose matching costs 0 certifies itself: no later phase runs
+    mod = importlib.import_module("psm.emd")
+    phase = mod._auction_phase
+    seen = []
+
+    def logged(cost, prices, eps):
+        seen.append(eps)
+        return phase(cost, prices, eps)
+
+    monkeypatch.setattr(mod, "_auction_phase", logged)
+    rng = np.random.default_rng(28)
+    for s in (16, 64):
+        a = rng.random((s, 3))
+        for b in (a.copy(), a[rng.permutation(s)]):
+            seen.clear()
+            res, _, achieved = emd_auction(a, b)
+            assert len(seen) == 1, seen
+            assert res.value == 0.0 and achieved == 0.0 and res.budget_relaxed is False
+
+
 def test_auction_deterministic():
     rng = np.random.default_rng(41)
     a, b = pair(rng, 80)

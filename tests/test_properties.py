@@ -38,7 +38,7 @@ from psm.voxel import (RESOLUTION, OccupancyGrid, _geometry, binarize, grid_unit
 
 KINDS = ("generic", "duplicates", "lattice64", "integer", "collinear",
          "coplanar", "offset", "huge", "tiny", "identical")
-PAIR_KINDS = KINDS + ("near_coincident",)
+PAIR_KINDS = KINDS + ("near_coincident", "permuted_copy")
 
 CHECKED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -90,6 +90,9 @@ def equal_size_pairs(draw, max_size, kinds=KINDS):
     if kind == "near_coincident":
         a = make_cloud("generic", n, rng)
         return a, a + 1e-17 * rng.normal(size=a.shape)
+    if kind == "permuted_copy":  # a zero-cost pair
+        a = make_cloud("generic", n, rng)
+        return a, a[rng.permutation(n)]
     return make_cloud(kind, n, rng), make_cloud(kind, n, rng)
 
 
