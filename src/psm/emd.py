@@ -13,8 +13,8 @@ exact solver at every size; the auction runs only when called by name. At
 4097-8192 points LSA holds 2.1-2.8x less memory than the auction; it is up
 to 1.6x slower than an auction run to its 0.01 target on uniform clouds,
 and about 4x faster on 1/8-lattice clouds (2-vCPU x86 guest, scipy 1.17).
-Each entry checks its pair once and runs _emd, which takes checked arrays
-of any row width.
+Each entry checks its pair once: emd and emd_exact run _emd, emd_auction
+runs _auction; both kernels take checked arrays of any row width.
 
 The gradient at a_i is the unit vector from its matched partner toward a_i,
 (a_i - b_phi(i)) / ||a_i - b_phi(i)||, and the opposite for the partner.
@@ -59,12 +59,12 @@ class AuctionParams:
             raise ValueError("target_rel_err must be finite and > 0")
 
 
-def _grads_from_perm(a, b, perm):
+def _grads_from_perm(a, b, perm, lengths):
+    """Gradients of matching perm from lengths, the per-pair costs it came with."""
     diff = a - b[perm]
-    norms = np.linalg.norm(diff, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
+    safe = np.where(lengths > 0, lengths, 1.0)
     grad_a = diff / safe[:, None]
-    grad_a[norms == 0] = 0.0
+    grad_a[lengths == 0] = 0.0
     grad_b = np.zeros_like(grad_a)
     grad_b[perm] = -grad_a
     return grad_a, grad_b
@@ -80,7 +80,7 @@ def _assign(a, b):
 
 def emd_exact(a, b, want_grad=False):
     """Optimal assignment EMD. Returns (DistanceResult, Assignment)."""
-    return _emd(*check_pair(a, b, same_size=True), want_grad, "exact")
+    return _emd(*check_pair(a, b, same_size=True), want_grad)
 
 
 def _auction_phase(cost, prices, eps):
@@ -151,17 +151,12 @@ def _auction(a, b, params):
     return perm, per_pair, achieved, achieved > t
 
 
-def _emd(a, b, want_grad, backend="exact", params=None):
-    """EMD of a checked pair on any row width, by the named backend:
-    (DistanceResult, Assignment). The auction takes params, checked when
-    made, or AuctionParams() if None."""
-    bound = ()  # the auction's (achieved_eps, budget_relaxed)
-    if backend == "exact":
-        perm, per_pair = _assign(a, b)
-    else:
-        perm, per_pair, *bound = _auction(a, b, params or AuctionParams())
-    grads = _grads_from_perm(a, b, perm) if want_grad else (None, None)
-    return (DistanceResult(float(np.sum(per_pair)), *grads, backend, *bound),
+def _emd(a, b, want_grad):
+    """Optimal assignment EMD of a checked pair on any row width:
+    (DistanceResult, Assignment)."""
+    perm, per_pair = _assign(a, b)
+    grads = _grads_from_perm(a, b, perm, per_pair) if want_grad else (None, None)
+    return (DistanceResult(float(np.sum(per_pair)), *grads, "exact"),
             Assignment(perm, per_pair))
 
 
@@ -172,14 +167,16 @@ def emd_auction(a, b, params=None, want_grad=False):
     at most (1 + achieved_eps) times the optimum. It follows from
     epsilon-complementary slackness, which caps the absolute gap at s * eps
     of the returned phase, over the returned cost. The auction runs until
-    it certifies params.target_rel_err. budget_relaxed is exactly
-    achieved_eps > target_rel_err: eps reached 1e-15 of the largest cost
-    first, as on near-coincident sets, where float64 cannot resolve the
-    target (achieved_eps is then inf).
+    it certifies params.target_rel_err (params None: AuctionParams()).
+    budget_relaxed is exactly achieved_eps > target_rel_err: eps reached
+    1e-15 of the largest cost first, as on near-coincident sets, where
+    float64 cannot resolve the target (achieved_eps is then inf).
     """
-    res, assignment = _emd(*check_pair(a, b, same_size=True), want_grad,
-                           "auction", params)
-    return res, assignment, res.achieved_eps
+    a, b = check_pair(a, b, same_size=True)
+    perm, per_pair, achieved, relaxed = _auction(a, b, params or AuctionParams())
+    grads = _grads_from_perm(a, b, perm, per_pair) if want_grad else (None, None)
+    res = DistanceResult(float(np.sum(per_pair)), *grads, "auction", achieved, relaxed)
+    return res, Assignment(perm, per_pair), achieved
 
 
 def emd(a, b, want_grad=False):

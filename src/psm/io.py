@@ -29,19 +29,17 @@ def fmt_float(x):
 
 
 def _write_rows(fh, values, width):
-    """Write values `width` to a line as fmt_float does, a block of lines at a
+    """Write values `width` to a line through fmt_float, a block of lines at a
     time, formatting each distinct bit pattern in a block once."""
     rows = np.asarray(values, dtype=np.float64).reshape(-1, width)
     step = max(1, 65536 // width)
     for lo in range(0, len(rows), step):
         bits, inv = np.unique(rows[lo:lo + step].view(np.int64), return_inverse=True)
         inv = inv.reshape(-1, width)
-        text = "\n".join(map(repr, bits.view(np.float64).tolist())) + "\n"
-        text = text.replace(".0\n", "\n")  # only an integral value's repr ends in ".0"
-        # each token carries what follows it: a space, or a newline at a row's end
-        toks = np.array(text.replace("\n", " \n").split("\n"), dtype=object)[inv]
-        toks[:, -1] = np.array(text.splitlines(True), dtype=object)[inv[:, -1]]
-        fh.write("".join(toks.ravel().tolist()))
+        strs = [fmt_float(v) for v in bits.view(np.float64).tolist()]
+        toks = np.array([s + " " for s in strs] + [s + "\n" for s in strs], dtype=object)
+        inv[:, -1] += len(strs)
+        fh.write("".join(toks[inv].ravel().tolist()))
 
 
 def _parse_floats(tokens, lineno):
@@ -92,7 +90,7 @@ def read_xyz(path):
 def _read_xyz_lines(path):
     """Line-by-line reference parser behind read_xyz."""
     points = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw.strip()[:1] in ("", "#"):
                 continue
@@ -118,7 +116,7 @@ def read_grid(path):
     parsed in one np.loadtxt call; the line parser takes every other body.
     """
     path = os.fsdecode(path)  # np.loadtxt takes no bytes path
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         dx, origin, h = _grid_header("".join(islice(fh, 4)).split("\n"))
         rows = any(line.split() for line in fh)  # loadtxt warns on input without rows
     try:
@@ -127,7 +125,7 @@ def read_grid(path):
     except ValueError:  # a bad token, a ragged row or undecodable bytes
         values = None
     if values is None or not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             values = np.fromiter(_grid_values_lines(islice(fh, 4, None), 5), np.float64)
     if values.size != dx ** 3:
         raise DimensionMismatch(f"expected {dx ** 3} values, got {values.size}")
@@ -189,7 +187,7 @@ def write_grid(g, path):
 def _read_json_object(path):
     """A JSON file's object; ParseError names the line of a syntax error, or 1."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.msg) from None

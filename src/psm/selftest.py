@@ -44,8 +44,11 @@ def check_io_roundtrips():
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.xyz")
         psio.write_xyz(pts, path)
-        back = psio.read_xyz(path)
-        assert np.array_equal(pts, back)
+        bom_path = os.path.join(d, "bom.xyz")  # the same file after a UTF-8 BOM
+        with open(path, "rb") as src, open(bom_path, "wb") as dst:
+            dst.write(b"\xef\xbb\xbf" + src.read())
+        for p in (path, bom_path):
+            assert np.array_equal(pts, psio.read_xyz(p))
         gpath = os.path.join(d, "t.grid")
         grid = OccupancyGrid(5, [0.5, -1.0, 2.0], 0.25,
                              rng.gen.random((5, 5, 5)))

@@ -133,6 +133,26 @@ def test_readers_take_bytes_paths(tmp_path):
     assert psio.read_grid(os.fsencode(tmp_path / "g.grid")).values.tolist() == [[[1.0]]]
 
 
+def test_readers_skip_a_byte_order_mark(tmp_path):
+    # a UTF-8 BOM before the first line changes nothing a reader returns
+    def xyz(p):
+        return outcome(psio.read_xyz, p)
+
+    def grid(p):
+        g = psio.read_grid(p)
+        return g.dims, g.origin.tolist(), g.cell_size, g.values.tobytes()
+
+    cases = [(xyz, b"0 1 2\n3 4 5\n"),
+             (xyz, b"# units: m\n0 1 2\n"),
+             (grid, b"PSGRID 1\n2 2 2\n0 0 0\n0.5\n0 1\n1 0\n0 0\n1 1\n"),
+             (grid, b"PSGRID 1\n2 2 2\n0 0 0\n0.5\n0 1 1\n0 0 0 1 1\n"),  # line parser
+             (psio.read_distribution_spec, b'{"family": "circle_radius", "n_points": 64}')]
+    for read, data in cases:
+        (tmp_path / "plain").write_bytes(data)
+        (tmp_path / "marked").write_bytes(b"\xef\xbb\xbf" + data)
+        assert read(tmp_path / "marked") == read(tmp_path / "plain")
+
+
 def test_xyz_round_trip_exact(tmp_path):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(1000, 3)) * rng.choice([1e-9, 1.0, 1e12], size=(1000, 1))
@@ -187,6 +207,7 @@ XYZ_PARITY = {
     "comment_crlf": b"0 1 2\r\n# x\r\n3 4 5\r\n",
     "comments_only": b"# a\n# b\n",
     "comment_after_form_feed": b"\x0c# x\n0 1 2\n",
+    "bom": b"\xef\xbb\xbf0 1 2\n3 4 5\n",
 }
 
 

@@ -319,7 +319,9 @@ def test_assignment_kernel_equals_exact_in_3d_and_in_plane(pair):
         assert perm.tobytes() == assignment.perm.tobytes()
         assert cost.tobytes() == assignment.per_pair_cost.tobytes()
         assert float(np.sum(cost)) == res.value
-        grad_a = _grads_from_perm(ka, kb, perm)[0]
+        # the gradient divides by these costs in place of recomputed norms
+        assert cost.tobytes() == np.linalg.norm(ka - kb[perm], axis=1).tobytes()
+        grad_a = _grads_from_perm(ka, kb, perm, cost)[0]
         assert grad_a.tobytes() == first_columns(res.grad_a, ka.shape[1])
 
 
@@ -334,7 +336,9 @@ def test_auction_kernel_equals_public_auction_in_3d_and_in_plane(pair):
         assert cost.tobytes() == assignment.per_pair_cost.tobytes()
         assert float(np.sum(cost)) == res.value
         assert (k_achieved, k_relaxed) == (achieved, res.budget_relaxed)
-        grad_a = _grads_from_perm(ka, kb, perm)[0]
+        # the gradient divides by these costs in place of recomputed norms
+        assert cost.tobytes() == np.linalg.norm(ka - kb[perm], axis=1).tobytes()
+        grad_a = _grads_from_perm(ka, kb, perm, cost)[0]
         assert grad_a.tobytes() == first_columns(res.grad_a, ka.shape[1])
 
 
